@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .eigensolver import numeric_minimizer
 from .flow import gradient_flow, normalize_field, write_trajectory_csv
-from .grid import SampledVectorField, build_grid, export_vector_field_csv, normal_field
+from .grid import FOUR_PI, SampledVectorField, build_grid, export_vector_field_csv, normal_field
 from .sharp import (
     build_minimizer,
     classify_regime,
@@ -33,8 +33,6 @@ from .sharp import (
 from .spectral import norm_sq
 from .suites import SUITES, Check, run_suite
 from .vsh import CoeffSet, synthesize
-
-FOUR_PI = 4.0 * math.pi
 
 
 @dataclass

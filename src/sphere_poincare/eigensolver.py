@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vsh import CoeffSet
+from .grid import FOUR_PI
+from .vsh import CoeffSet, _unit_direction
 
 __all__ = [
     "SpectralBlock",
@@ -98,16 +99,6 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[str, ...]
     return best, winners
 
 
-def _spread_direction(direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise ValueError("direction must be a 3-vector over orders j = -1, 0, 1")
-    nrm = math.sqrt(float(d @ d))
-    if nrm == 0.0:
-        raise ValueError("direction must be nonzero")
-    return d / nrm
-
-
 def numeric_minimizer(
     kappa: float,
     n_max: int = 20,
@@ -123,7 +114,7 @@ def numeric_minimizer(
     prefer the degree-0 channel.
     """
     _, winners = gamma_numeric(kappa, n_max)
-    scale = math.sqrt(4.0 * math.pi)
+    scale = math.sqrt(FOUR_PI)
     if "n=0 scalar" in winners:
         out = CoeffSet(1)
         out[(1, 0, 0)] = scale
@@ -138,10 +129,9 @@ def numeric_minimizer(
     out = CoeffSet(n)
     if n == 1:
         if direction is not None:
-            d = _spread_direction(direction)
+            d = _unit_direction(direction)
         elif rng is not None:
-            d = rng.standard_normal(3)
-            d /= math.sqrt(float(d @ d))
+            d = _unit_direction(rng.standard_normal(3))
         else:
             d = np.array([0.0, 1.0, 0.0])  # deterministic j = 0 axis
         for offset, j in enumerate((-1, 0, 1)):

@@ -6,6 +6,10 @@ spectral route at a chosen band limit (no finite differences, hence no
 pole artifacts), and the flow is an explicit projected gradient descent
 with pointwise renormalization after every step.  It is a qualitative
 stability probe, not a performance solver.
+
+The flow loop and the public diagnostics (``el_residual``,
+``saturated_energy``, ``distance_to_normals``) share one set of
+flat-array kernels, so each quantity has a single implementation.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    FOUR_PI,
     SampledScalarField,
     SampledVectorField,
     dirichlet_energy_scalar_route,
@@ -37,8 +42,6 @@ __all__ = [
     "gradient_flow",
     "write_trajectory_csv",
 ]
-
-FOUR_PI = 4.0 * math.pi
 
 _UNIT_TOL = 1e-8
 _ENERGY_INCREASE_TOL = 1e-10
@@ -70,11 +73,36 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
     )
 
 
-def _minus_laplacian_field(u_values: np.ndarray, basis) -> np.ndarray:
-    flat = u_values.reshape(-1, 3)
-    coeffs = basis.weighted_flat @ flat
-    lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
-    return lap.reshape(u_values.shape)
+# Flat-array kernels shared by the public diagnostics and the flow loop.
+# Arrays are (nodes, 3) field values and (modes, 3) scalar-route
+# coefficients; the normal and the weights are flattened once by the caller.
+
+
+def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
+    """Band-truncated -Laplacian node values from per-component coefficients."""
+    return basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+
+
+def _energy(basis, coeffs, values, normal, weights, kappa: float) -> float:
+    dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
+    radial = np.sum(values * normal, axis=-1)
+    return dirichlet + kappa * float(np.sum(weights * radial * radial))
+
+
+def _residual(values, lap, normal, kappa: float) -> np.ndarray:
+    radial = np.sum(values * normal, axis=-1)
+    return np.cross(values, lap + kappa * radial[:, None] * normal)
+
+
+def _distances(values, normal, weights) -> tuple[float, float]:
+    d_plus = math.sqrt(float(np.sum(weights * np.sum((values - normal) ** 2, axis=-1))))
+    d_minus = math.sqrt(float(np.sum(weights * np.sum((values + normal) ** 2, axis=-1))))
+    scale = math.sqrt(FOUR_PI)
+    return d_plus / scale, d_minus / scale
+
+
+def _flat_normal(grid) -> np.ndarray:
+    return normal_field(grid).values.reshape(-1, 3)
 
 
 def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> SampledVectorField:
@@ -82,11 +110,10 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     saturated problem; vanishes exactly at critical points."""
     _require_unit(u)
     basis = scalar_basis(u.grid, band_limit)
-    lap = _minus_laplacian_field(u.values, basis)
-    normal = normal_field(u.grid).values
-    radial = np.sum(u.values * normal, axis=-1)
-    effective = lap + kappa * radial[..., None] * normal
-    return SampledVectorField(grid=u.grid, values=np.cross(u.values, effective))
+    values = u.values.reshape(-1, 3)
+    lap = _laplacian(basis, basis.weighted_flat @ values)
+    residual = _residual(values, lap, _flat_normal(u.grid), kappa)
+    return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
 
 def _default_scalar_band(grid) -> int:
@@ -117,20 +144,21 @@ def second_variation_normal(
 def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> float:
     """Penalized energy of a unit field: band-truncated Dirichlet part
     plus kappa times the quadrature anisotropy integral."""
-    normal = normal_field(u.grid).values
-    radial = np.sum(u.values * normal, axis=-1)
-    aniso = integrate(SampledScalarField(grid=u.grid, values=radial * radial))
-    return dirichlet_energy_scalar_route(u, band_limit) + kappa * aniso
+    basis = scalar_basis(u.grid, band_limit)
+    values = u.values.reshape(-1, 3)
+    return _energy(
+        basis,
+        basis.weighted_flat @ values,
+        values,
+        _flat_normal(u.grid),
+        u.grid.weights.reshape(-1),
+        kappa,
+    )
 
 
 def distance_to_normals(u: SampledVectorField) -> tuple[float, float]:
     """L2 distances to +normal and -normal, each normalized by sqrt(4 pi)."""
-    normal = normal_field(u.grid).values
-    w = u.grid.weights
-    d_plus = np.sqrt(np.sum(w * np.sum((u.values - normal) ** 2, axis=-1)))
-    d_minus = np.sqrt(np.sum(w * np.sum((u.values + normal) ** 2, axis=-1)))
-    scale = math.sqrt(FOUR_PI)
-    return float(d_plus) / scale, float(d_minus) / scale
+    return _distances(u.values.reshape(-1, 3), _flat_normal(u.grid), u.grid.weights.reshape(-1))
 
 
 @dataclass
@@ -172,6 +200,12 @@ class FlowResult:
         return max(min(r.dist_plus, r.dist_minus) for r in self.records)
 
 
+def _record(step, time, energy, values, lap, normal, weights, kappa) -> FlowRecord:
+    """Trajectory row of an accepted iterate, given its Laplacian."""
+    residual_max = float(np.max(_norms(_residual(values, lap, normal, kappa))))
+    return FlowRecord(step, time, energy, *_distances(values, normal, weights), residual_max)
+
+
 def gradient_flow(
     u0: SampledVectorField,
     kappa: float,
@@ -205,64 +239,36 @@ def gradient_flow(
 
     grid = u0.grid
     basis = scalar_basis(grid, band_limit)
-    normal = normal_field(grid).values.reshape(-1, 3)
+    normal = _flat_normal(grid)
     weights = grid.weights.reshape(-1)
     shape = u0.values.shape
 
     u = normalize_field(u0).values.reshape(-1, 3)
+    coeffs = basis.weighted_flat @ u
+    # One Laplacian per accepted iterate serves both its record and the next step.
+    lap = _laplacian(basis, coeffs)
+    energy = _energy(basis, coeffs, u, normal, weights, kappa)
 
-    def truncated_coeffs(values):
-        return basis.weighted_flat @ values
-
-    def energy_of(values, coeffs):
-        dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
-        radial = np.sum(values * normal, axis=-1)
-        return dirichlet + kappa * float(np.sum(weights * radial * radial))
-
-    def residual_max_of(values, coeffs):
-        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
-        radial = np.sum(values * normal, axis=-1)
-        effective = lap + kappa * radial[:, None] * normal
-        res = np.cross(values, effective)
-        return float(np.max(np.sqrt(np.sum(res * res, axis=-1))))
-
-    def distances(values):
-        d_plus = math.sqrt(float(np.sum(weights * np.sum((values - normal) ** 2, axis=-1))))
-        d_minus = math.sqrt(float(np.sum(weights * np.sum((values + normal) ** 2, axis=-1))))
-        scale = math.sqrt(FOUR_PI)
-        return d_plus / scale, d_minus / scale
-
-    coeffs = truncated_coeffs(u)
-    energy = energy_of(u, coeffs)
-    records = [FlowRecord(0, 0.0, energy, *distances(u), residual_max_of(u, coeffs))]
-
+    records = [_record(0, 0.0, energy, u, lap, normal, weights, kappa)]
     for step in range(1, steps + 1):
-        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
         radial = np.sum(u * normal, axis=-1)
         grad = 2.0 * lap + 2.0 * kappa * radial[:, None] * normal
         grad -= np.sum(grad * u, axis=-1)[:, None] * u
         candidate = u - dt * grad
         # Galerkin projection onto the resolved band before renormalizing.
         candidate = basis.matrix_flat.T @ (basis.weighted_flat @ candidate)
-        candidate /= np.sqrt(np.sum(candidate * candidate, axis=-1))[:, None]
-        new_coeffs = truncated_coeffs(candidate)
-        new_energy = energy_of(candidate, new_coeffs)
+        candidate /= _norms(candidate)[:, None]
+        coeffs = basis.weighted_flat @ candidate
+        new_energy = _energy(basis, coeffs, candidate, normal, weights, kappa)
         if new_energy > energy + _ENERGY_INCREASE_TOL:
             raise RuntimeError(
                 f"energy increased by {new_energy - energy:.3e} at step {step}; "
                 "dt too large for this band limit"
             )
-        u, coeffs, energy = candidate, new_coeffs, new_energy
+        u, energy = candidate, new_energy
+        lap = _laplacian(basis, coeffs)
         if step % record_every == 0 or step == steps:
-            records.append(
-                FlowRecord(
-                    step,
-                    step * dt,
-                    energy,
-                    *distances(u),
-                    residual_max_of(u, coeffs),
-                )
-            )
+            records.append(_record(step, step * dt, energy, u, lap, normal, weights, kappa))
 
     final = SampledVectorField(grid=grid, values=u.reshape(shape))
     state = FlowState(field=final, kappa=kappa, band_limit=band_limit, step=steps, energy=energy)

@@ -13,6 +13,7 @@ check used against the sequence-space energy identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .legendre import scalar_sh
 
 __all__ = [
+    "FOUR_PI",
     "Grid",
     "SampledScalarField",
     "SampledVectorField",
@@ -35,6 +37,8 @@ __all__ = [
     "dirichlet_energy_scalar_route",
     "export_vector_field_csv",
 ]
+
+FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +168,8 @@ def normal_field(grid: Grid) -> SampledVectorField:
     return SampledVectorField(grid=grid, values=normal)
 
 
-def _require_scalar_resolution(grid: Grid, band_limit: int) -> None:
+def _require_resolution(grid: Grid, band_limit: int) -> None:
+    """Reject a grid too coarse for scalar harmonics up to ``band_limit``."""
     if band_limit < 0:
         raise ValueError("band limit must be non-negative")
     if grid.n_t < band_limit + 1 or grid.n_phi < 2 * band_limit + 1:
@@ -183,14 +188,16 @@ class ScalarBasis:
     """
 
     def __init__(self, grid: Grid, band_limit: int):
-        _require_scalar_resolution(grid, band_limit)
+        _require_resolution(grid, band_limit)
         self.grid = grid
         self.band_limit = band_limit
         self.degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
         t_mesh, phi_mesh = grid.meshes
-        rows = [scalar_sh(n, j, phi_mesh, t_mesh) for n, j in self.degrees]
-        self.matrix = np.stack(rows)
+        self.matrix = np.empty((len(self.degrees), grid.n_t, grid.n_phi))
+        for row, (n, j) in zip(self.matrix, self.degrees):
+            row[...] = scalar_sh(n, j, phi_mesh, t_mesh)
         self.eigenvalues = np.array([n * (n + 1) for n, _ in self.degrees], dtype=float)
+        # Kept precomputed: the flow trajectory's bits depend on weighted_flat @ values.
         self._weighted = self.matrix * grid.weights
         # Flattened views used by hot loops (gradient flow).
         self.matrix_flat = self.matrix.reshape(len(self.degrees), -1)
@@ -202,10 +209,6 @@ class ScalarBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         return np.einsum("m,mij->ij", coeffs, self.matrix)
-
-    def minus_laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Band-truncated -Laplace-Beltrami of a sampled scalar field."""
-        return self.synthesize(self.eigenvalues * self.analyze(values))
 
 
 def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:

@@ -120,14 +120,7 @@ def normalized_legendre(n: int, j: int, t):
 
 def normalized_legendre_dt(n: int, j: int, t):
     """Derivative dX_{n,j}/dt (|t| < 1)."""
-    _check_degree_order(n, j)
-    arr = _as_open_interval(t)
-    if n == 0:
-        return _match_input(np.zeros_like(arr), t)
-    here = _assoc_legendre_raw(n, j, arr)
-    below = _assoc_legendre_raw(n - 1, j, arr) if j <= n - 1 else 0.0
-    deriv = ((n + j) * below - n * arr * here) / (1.0 - arr * arr)
-    return _match_input(_norm_factor(n, j) * deriv, t)
+    return assoc_legendre_dt(n, j, t) * _norm_factor(n, j)
 
 
 def scalar_sh(n: int, j: int, phi, t):

@@ -29,8 +29,9 @@ from enum import Enum
 
 import numpy as np
 
+from .grid import FOUR_PI
 from .spectral import g_kappa, norm_sq
-from .vsh import CoeffSet, mode_list
+from .vsh import CoeffSet, _unit_direction, mode_list
 
 __all__ = [
     "Regime",
@@ -45,8 +46,6 @@ __all__ = [
     "gamma_table_rows",
     "write_gamma_table",
 ]
-
-FOUR_PI = 4.0 * math.pi
 
 # Exact comparison after clamping: the formulas are continuous across the
 # boundary, so classification within this tolerance is harmless.
@@ -107,16 +106,6 @@ class MinimizerSpec:
     c0: float
     sigma: tuple[float, float, float]
     tau: tuple[float, float, float]
-
-
-def _unit_direction(direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise ValueError("direction must be a 3-vector over orders j = -1, 0, 1")
-    nrm = math.sqrt(float(d @ d))
-    if nrm == 0.0:
-        raise ValueError("direction must be nonzero")
-    return d / nrm
 
 
 def _tau_ratio(kappa: float) -> float:

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver, sharp, spectral, vsh
-from .grid import dirichlet_energy_scalar_route, normal_field, verification_grid
+from .grid import FOUR_PI, dirichlet_energy_scalar_route, normal_field, verification_grid
 from .vsh import CoeffSet, random_coeffs
 
 __all__ = ["Check", "SUITES", "run_suite"]
-
-FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)
 
 
 def _bool_check(name: str, ok: bool) -> Check:

@@ -13,12 +13,13 @@ Coefficients are stored dense per (family, n, j) up to the band limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, SampledVectorField, tangent_frame
+from .grid import Grid, SampledVectorField, _require_resolution, _same_grid, tangent_frame
 from .legendre import MAX_DEGREE, scalar_sh, scalar_sh_grad_components
 
 __all__ = [
@@ -247,33 +248,29 @@ def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:
     return np.cross(normal, y2)
 
 
-def _require_synthesis_resolution(grid: Grid, band_limit: int) -> None:
-    if grid.n_t < band_limit + 1 or grid.n_phi < 2 * band_limit + 1:
-        raise ValueError(
-            f"grid ({grid.n_t}, {grid.n_phi}) does not resolve band limit {band_limit}"
-        )
-
-
-def _require_analysis_resolution(grid: Grid, band_limit: int) -> None:
-    # Products of two band-N vector harmonics have scalar degree 2N + 2.
-    if grid.n_t < band_limit + 2 or grid.n_phi < 2 * band_limit + 3:
-        raise ValueError(
-            f"grid ({grid.n_t}, {grid.n_phi}) under-resolved for analysis at band "
-            f"limit {band_limit}; need at least ({band_limit + 2}, {2 * band_limit + 3})"
-        )
+def _unit_direction(direction) -> np.ndarray:
+    """Normalize a degree-1 order direction, a 3-vector over j = -1, 0, 1."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,):
+        raise ValueError("direction must be a 3-vector over orders j = -1, 0, 1")
+    nrm = math.sqrt(float(d @ d))
+    if nrm == 0.0:
+        raise ValueError("direction must be nonzero")
+    return d / nrm
 
 
 class VectorBasis:
     """All vector harmonics up to a band limit evaluated on one grid."""
 
     def __init__(self, grid: Grid, band_limit: int):
-        _require_synthesis_resolution(grid, band_limit)
+        _require_resolution(grid, band_limit)
         self.grid = grid
         self.band_limit = band_limit
         self.modes = mode_list(band_limit)
         t_mesh, phi_mesh = grid.meshes
-        self.matrix = np.stack([eval_vsh(mode, phi_mesh, t_mesh) for mode in self.modes])
-        self._weighted = self.matrix * grid.weights[..., None]
+        self.matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
+        for row, mode in zip(self.matrix, self.modes):
+            row[...] = eval_vsh(mode, phi_mesh, t_mesh)
 
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:
@@ -282,13 +279,10 @@ class VectorBasis:
         return SampledVectorField(grid=self.grid, values=values)
 
     def analyze(self, u: SampledVectorField) -> CoeffSet:
-        _require_analysis_resolution(self.grid, self.band_limit)
-        if u.grid is not self.grid and not (
-            np.array_equal(u.grid.t, self.grid.t)
-            and np.array_equal(u.grid.phi, self.grid.phi)
-        ):
-            raise ValueError("field sampled on a different grid")
-        vec = np.einsum("mijk,ijk->m", self._weighted, u.values)
+        # Products of two band-N vector harmonics have scalar degree 2N + 2.
+        _require_resolution(self.grid, self.band_limit + 1)
+        _same_grid(u, self)
+        vec = np.einsum("mijk,ijk->m", self.matrix, u.values * self.grid.weights[..., None])
         return CoeffSet.from_vector(self.band_limit, vec)
 
 

@@ -72,6 +72,13 @@ def test_verify_json_report(capsys, tmp_path):
     assert all({"name", "residual", "tolerance", "passed"} <= set(c) for c in payload["checks"])
 
 
+def test_verify_lemma_json_report(capsys):
+    assert main(["verify", "--suite", "lemma", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert all(type(c["passed"]) is bool for c in payload["checks"])
+
+
 def test_verify_seed_env_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SPHERE_POINCARE_SEED", "99")
     path = tmp_path / "report.json"

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphere_poincare.flow import (
+    FlowRecord,
     distance_to_normals,
     el_residual,
     gradient_flow,
@@ -18,6 +19,7 @@ from sphere_poincare.grid import (
     SampledVectorField,
     build_grid,
     normal_field,
+    scalar_basis,
     verification_grid,
 )
 from sphere_poincare.vsh import CoeffSet, random_coeffs, synthesize
@@ -203,3 +205,84 @@ def test_trajectory_csv(tmp_path):
     last = lines[-1].split(",")
     assert int(last[0]) == 40
     assert_allclose(float(last[1]), 0.8, rtol=1e-12)
+
+
+def _reference_flow(u0, kappa, dt, steps, band_limit, record_every):
+    """The original explicit flow loop, kept verbatim as a bitwise reference."""
+    grid = u0.grid
+    basis = scalar_basis(grid, band_limit)
+    normal = normal_field(grid).values.reshape(-1, 3)
+    weights = grid.weights.reshape(-1)
+    shape = u0.values.shape
+
+    u = normalize_field(u0).values.reshape(-1, 3)
+
+    def truncated_coeffs(values):
+        return basis.weighted_flat @ values
+
+    def energy_of(values, coeffs):
+        dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
+        radial = np.sum(values * normal, axis=-1)
+        return dirichlet + kappa * float(np.sum(weights * radial * radial))
+
+    def residual_max_of(values, coeffs):
+        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+        radial = np.sum(values * normal, axis=-1)
+        effective = lap + kappa * radial[:, None] * normal
+        res = np.cross(values, effective)
+        return float(np.max(np.sqrt(np.sum(res * res, axis=-1))))
+
+    def distances(values):
+        d_plus = math.sqrt(float(np.sum(weights * np.sum((values - normal) ** 2, axis=-1))))
+        d_minus = math.sqrt(float(np.sum(weights * np.sum((values + normal) ** 2, axis=-1))))
+        scale = math.sqrt(FOUR_PI)
+        return d_plus / scale, d_minus / scale
+
+    coeffs = truncated_coeffs(u)
+    energy = energy_of(u, coeffs)
+    records = [FlowRecord(0, 0.0, energy, *distances(u), residual_max_of(u, coeffs))]
+
+    for step in range(1, steps + 1):
+        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+        radial = np.sum(u * normal, axis=-1)
+        grad = 2.0 * lap + 2.0 * kappa * radial[:, None] * normal
+        grad -= np.sum(grad * u, axis=-1)[:, None] * u
+        candidate = u - dt * grad
+        candidate = basis.matrix_flat.T @ (basis.weighted_flat @ candidate)
+        candidate /= np.sqrt(np.sum(candidate * candidate, axis=-1))[:, None]
+        new_coeffs = truncated_coeffs(candidate)
+        new_energy = energy_of(candidate, new_coeffs)
+        assert new_energy <= energy + 1e-10
+        u, coeffs, energy = candidate, new_coeffs, new_energy
+        if step % record_every == 0 or step == steps:
+            records.append(
+                FlowRecord(step, step * dt, energy, *distances(u), residual_max_of(u, coeffs))
+            )
+    return records, u.reshape(shape)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "band, dt, steps, record_every", [(4, 0.02, 300, 1), (8, 0.01, 400, 25)]
+)
+def test_flow_matches_reference_loop_bitwise(kappa, band, dt, steps, record_every):
+    grid = verification_grid(band)
+    u0 = _perturbed_normal(grid, 0.05)
+    result = gradient_flow(u0, kappa, dt, steps, band, record_every)
+    records, final = _reference_flow(u0, kappa, dt, steps, band, record_every)
+    assert result.records == records
+    assert np.array_equal(result.state.field.values, final)
+
+
+def test_diagnostics_match_flow_records():
+    grid = verification_grid(4)
+    u0 = _perturbed_normal(grid, 0.05)
+    result = gradient_flow(u0, 1.0, 0.02, 300, 4, record_every=300)
+    last = result.records[-1]
+    u = result.state.field
+    assert distance_to_normals(u) == (last.dist_plus, last.dist_minus)
+    residual = el_residual(u, 1.0, 4)
+    assert float(np.max(np.linalg.norm(residual.values, axis=-1))) == pytest.approx(
+        last.residual_max, rel=1e-12
+    )
+    assert saturated_energy(u, 1.0, 4) == last.energy

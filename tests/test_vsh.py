@@ -98,6 +98,13 @@ def test_family_structure_pointwise():
             assert np.max(np.abs(curl - np.cross(normal, grad))) < 1e-14
 
 
+def test_vector_basis_matrix_matches_stacked_modes():
+    grid = verification_grid(3)
+    t_mesh, phi_mesh = grid.meshes
+    expected = np.stack([eval_vsh(mode, phi_mesh, t_mesh) for mode in mode_list(3)])
+    assert np.array_equal(vector_basis(grid, 3).matrix, expected)
+
+
 def test_gram_matrix_identity():
     grid = verification_grid(6)
     basis = vector_basis(grid, 6)
