@@ -31,7 +31,7 @@ from .sharp import (
     write_gamma_table,
 )
 from .spectral import norm_sq
-from .suites import SUITES, Check, run_suite
+from .suites import SUITES, Check, _bool_check, run_suite
 from .vsh import CoeffSet, synthesize
 
 
@@ -88,7 +88,10 @@ class RunReport:
 
 def _resolve_seed(seed: int) -> int:
     env = os.environ.get("SPHERE_POINCARE_SEED")
-    return int(env) if env is not None else seed
+    try:
+        return seed if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"SPHERE_POINCARE_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(report: RunReport, as_json: bool, out_path=None) -> None:
@@ -101,16 +104,14 @@ def _emit(report: RunReport, as_json: bool, out_path=None) -> None:
 
 def cmd_gamma(args) -> int:
     if args.kappa is None and args.range is None:
-        print("error: provide --kappa or --range", file=sys.stderr)
-        return 2
+        raise ValueError("provide --kappa or --range")
     if args.kappa is not None:
         kappas = [args.kappa]
     else:
         lo, hi, steps = args.range
         steps = int(steps)
         if steps < 1 or hi < lo:
-            print("error: bad range", file=sys.stderr)
-            return 2
+            raise ValueError("bad range")
         kappas = np.linspace(lo, hi, steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -138,25 +139,15 @@ def cmd_minimize(args) -> int:
     start = time.perf_counter()
     kappa = args.kappa
     regime = classify_regime(kappa)
-    kwargs = {}
     if regime.value == "below":
-        kwargs["sign"] = args.sign
-    elif regime.value == "above":
-        kwargs["direction"] = tuple(args.direction)
+        kwargs = {"sign": args.sign}
     else:
-        kwargs["direction"] = tuple(args.direction)
+        kwargs = {"direction": tuple(args.direction)}
         if args.c0 is not None:
             kwargs["c0"] = args.c0
-    try:
-        spec, closed = build_minimizer(kappa, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.method == "closed":
-        chosen = closed
-    else:
-        chosen = numeric_minimizer(kappa)
+    _, closed = build_minimizer(kappa, **kwargs)
+    numeric = numeric_minimizer(kappa)
+    chosen = closed if args.method == "closed" else numeric
 
     grid = build_grid(args.grid[0], args.grid[1])
     field = synthesize(chosen, grid)
@@ -165,21 +156,12 @@ def cmd_minimize(args) -> int:
     chosen.to_csv(coeff_path)
     export_vector_field_csv(field, field_path)
 
-    numeric = numeric_minimizer(kappa)
     tol = args.tol
     checks = [
         Check("closed-equality-residual", abs(equality_residual(closed, kappa)), 1e-10),
         Check("closed-norm-4pi", abs(norm_sq(closed) - FOUR_PI), 1e-10),
-        Check(
-            "closed-membership",
-            0.0 if membership_check(closed, kappa, tol) else 1.0,
-            0.0,
-        ),
-        Check(
-            "numeric-membership",
-            0.0 if membership_check(numeric, kappa, tol) else 1.0,
-            0.0,
-        ),
+        _bool_check("closed-membership", membership_check(closed, kappa, tol)),
+        _bool_check("numeric-membership", membership_check(numeric, kappa, tol)),
     ]
     report = RunReport(
         command=f"minimize --kappa {kappa:g} --method {args.method}",
@@ -219,18 +201,14 @@ def cmd_flow(args) -> int:
     u0 = normalize_field(
         SampledVectorField(grid=grid, values=normal.values + args.perturb * bump.values)
     )
-    try:
-        result = gradient_flow(
-            u0,
-            args.kappa,
-            dt=args.dt,
-            steps=args.steps,
-            band_limit=args.band,
-            record_every=args.record_every,
-        )
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = gradient_flow(
+        u0,
+        args.kappa,
+        dt=args.dt,
+        steps=args.steps,
+        band_limit=args.band,
+        record_every=args.record_every,
+    )
     write_trajectory_csv(result, args.out)
 
     monotone_gap = max(
@@ -331,7 +309,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if not hasattr(args, "json"):
         args.json = False
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -77,25 +77,27 @@ def min_eigenpair(blk: SpectralBlock) -> tuple[float, np.ndarray]:
     return value, vec
 
 
-def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[str, ...]]:
-    """Minimum over all channels up to degree n_max, with the argmin labels.
+def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int, str], ...]]:
+    """Minimum over all channels up to degree n_max, with the argmin channels.
 
     Candidates: the degree-0 scalar kappa + 2, the smaller eigenvalue of
     every (u1, u2) block, and the decoupled u3 values n*.  Returns the
     minimum of the per-mode energy, i.e. the best constant for the
-    normalized problem, together with every channel attaining it.
+    normalized problem, together with every channel attaining it as a
+    ``(degree, kind)`` tuple, kind one of ``"scalar"`` (degree 0 only),
+    ``"block"`` and ``"u3"``, in candidate order.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    candidates: list[tuple[float, str]] = [(kappa + 2.0, "n=0 scalar")]
+    candidates: list[tuple[float, tuple[int, str]]] = [(kappa + 2.0, (0, "scalar"))]
     for n in range(1, n_max + 1):
         blk = block(n, kappa)
         value, _ = min_eigenpair(blk)
-        candidates.append((value, f"n={n} block"))
-        candidates.append((blk.u3_eigenvalue, f"n={n} u3"))
+        candidates.append((value, (n, "block")))
+        candidates.append((blk.u3_eigenvalue, (n, "u3")))
     best = min(value for value, _ in candidates)
     tol = _TIE_TOL * max(1.0, abs(best))
-    winners = tuple(label for value, label in candidates if value - best <= tol)
+    winners = tuple(channel for value, channel in candidates if value - best <= tol)
     return best, winners
 
 
@@ -115,13 +117,12 @@ def numeric_minimizer(
     """
     _, winners = gamma_numeric(kappa, n_max)
     scale = math.sqrt(FOUR_PI)
-    if "n=0 scalar" in winners:
+    if (0, "scalar") in winners:
         out = CoeffSet(1)
         out[(1, 0, 0)] = scale
         return out
-    label = winners[0]
-    n = int(label.split()[0].split("=")[1])
-    if label.endswith("u3"):
+    n, kind = winners[0]
+    if kind == "u3":
         out = CoeffSet(n)
         out[(3, n, 0)] = scale
         return out

@@ -233,6 +233,8 @@ def gradient_flow(
         raise ValueError("record_every must be positive")
     if band_limit < 1:
         raise ValueError("band limit must resolve at least degree 1")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     limit = 1.0 / (band_limit * (band_limit + 1))
     if not dt < limit:
         raise ValueError(f"dt={dt} not below the stability bound {limit:.6g}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .grid import FOUR_PI
 from .spectral import g_kappa, norm_sq
-from .vsh import CoeffSet, _unit_direction, mode_list
+from .vsh import CoeffSet, _unit_direction
 
 __all__ = [
     "Regime",
@@ -201,12 +201,9 @@ def membership_check(coeffs: CoeffSet, kappa: float, tol: float) -> bool:
     """
     _require_finite(kappa)
     _require_normalized(coeffs)
-    support = {(1, 0, 0)} | {(1, 1, j) for j in (-1, 0, 1)} | {(2, 1, j) for j in (-1, 0, 1)}
-    leak = 0.0
-    for mode in mode_list(coeffs.band_limit):
-        if (mode.family, mode.n, mode.j) not in support:
-            leak = max(leak, abs(coeffs[mode]))
-    if leak > tol:
+    leak = np.abs(coeffs.data)
+    leak[:2, :2] = 0.0  # the support: families 1 and 2 at degrees 0 and 1
+    if leak.max() > tol:
         return False
 
     c0 = coeffs[(1, 0, 0)]
@@ -234,7 +231,8 @@ def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:
 
 def write_gamma_table(fh, kappas) -> None:
     """Write the constants table as CSV (shifted column empty for kappa >= 0)."""
+    rows = gamma_table_rows(kappas)  # first, so a bad weight writes nothing
     fh.write("kappa,gamma,gamma_plus,shifted\n")
-    for kappa, gam, gam_plus, shifted in gamma_table_rows(kappas):
+    for kappa, gam, gam_plus, shifted in rows:
         tail = "" if shifted is None else repr(shifted)
         fh.write(f"{kappa!r},{gam!r},{gam_plus!r},{tail}\n")

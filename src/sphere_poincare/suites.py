@@ -18,6 +18,8 @@ from .vsh import CoeffSet, random_coeffs
 
 __all__ = ["Check", "SUITES", "run_suite"]
 
+_MEMBERSHIP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Check:
@@ -38,7 +40,7 @@ def suite_orthonormality(seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    grid = verification_grid(8)
+    grid = verification_grid(6)
     basis = vsh.vector_basis(grid, 6)
     gram = np.einsum(
         "mijk,nijk->mn", basis.matrix * grid.weights[..., None], basis.matrix
@@ -177,7 +179,7 @@ def suite_equality(seed: int) -> list[Check]:
         checks.append(
             _bool_check(
                 f"numeric-membership-kappa={kappa:g}",
-                sharp.membership_check(numeric, kappa, 1e-8),
+                sharp.membership_check(numeric, kappa, _MEMBERSHIP_TOL),
             )
         )
 
@@ -202,10 +204,9 @@ def suite_lemma(seed: int) -> list[Check]:
     argmin_excess = 0
     for kappa in kappas:
         kappa = float(kappa)
-        value, winners = eigensolver.gamma_numeric(kappa, n_max=30)
-        degree = max(int(label.split()[0].split("=")[1]) for label in winners)
-        argmin_excess = max(argmin_excess, degree - 1)
-        if any(label.endswith("u3") for label in winners):
+        _, winners = eigensolver.gamma_numeric(kappa, n_max=30)
+        argmin_excess = max(argmin_excess, max(n for n, _ in winners) - 1)
+        if any(kind == "u3" for _, kind in winners):
             argmin_excess = max(argmin_excess, 1)
         coeffs = eigensolver.numeric_minimizer(kappa, n_max=30)
         u3_leak = max(u3_leak, float(np.max(np.abs(coeffs.data[2]))))

@@ -55,32 +55,29 @@ class ModeIndex:
 
 
 @lru_cache(maxsize=None)
-def _mode_tuple(band_limit: int) -> tuple[ModeIndex, ...]:
-    modes = []
-    for family in (1, 2, 3):
-        start = 0 if family == 1 else 1
-        for n in range(start, band_limit + 1):
-            for j in range(-n, n + 1):
-                modes.append(ModeIndex(family, n, j))
-    return tuple(modes)
+def _valid_mask(band_limit: int) -> np.ndarray:
+    """Boolean (family, n, j + band_limit) table of the valid mode set.
+
+    Its C-order traversal is the canonical (family, n, j) mode order.
+    """
+    n = np.arange(band_limit + 1)[:, None]
+    j = np.arange(-band_limit, band_limit + 1)
+    mask = np.repeat((np.abs(j) <= n)[None], 3, axis=0)
+    mask[1:, 0] = False  # families 2 and 3 start at degree 1
+    mask.setflags(write=False)
+    return mask
+
+
+def _modes_where(mask: np.ndarray):
+    """Modes at the True entries of a (family, n, j) table, in canonical order."""
+    band_limit = mask.shape[1] - 1
+    for i, n, b in zip(*np.nonzero(mask)):
+        yield ModeIndex(int(i) + 1, int(n), int(b) - band_limit)
 
 
 def mode_list(band_limit: int) -> list[ModeIndex]:
     """All modes with n <= band_limit in canonical (family, n, j) order."""
-    return list(_mode_tuple(band_limit))
-
-
-@lru_cache(maxsize=None)
-def _valid_mask(band_limit: int) -> np.ndarray:
-    mask = np.zeros((3, band_limit + 1, 2 * band_limit + 1), dtype=bool)
-    for n in range(band_limit + 1):
-        for j in range(-n, n + 1):
-            mask[0, n, j + band_limit] = True
-            if n >= 1:
-                mask[1, n, j + band_limit] = True
-                mask[2, n, j + band_limit] = True
-    mask.setflags(write=False)
-    return mask
+    return list(_modes_where(_valid_mask(band_limit)))
 
 
 class CoeffSet:
@@ -146,14 +143,11 @@ class CoeffSet:
         self.data[i, a, b] = value
 
     def items_nonzero(self):
-        for mode in mode_list(self.band_limit):
-            value = self[mode]
-            if value != 0.0:
-                yield mode, value
+        mask = _valid_mask(self.band_limit) & (self.data != 0.0)
+        return zip(_modes_where(mask), self.data[mask].tolist())
 
     def as_vector(self) -> np.ndarray:
         """Coefficients in canonical mode order."""
-        # C-order traversal of the valid mask matches mode_list order.
         return self.data[_valid_mask(self.band_limit)]
 
     @classmethod
@@ -174,9 +168,10 @@ class CoeffSet:
     def with_band_limit(self, band_limit: int) -> "CoeffSet":
         """Zero-padded or truncated copy (truncation drops high degrees)."""
         out = CoeffSet(band_limit)
-        n_keep = min(self.band_limit, band_limit)
-        for mode in mode_list(n_keep):
-            out[mode] = self[mode]
+        k, src = min(self.band_limit, band_limit), self.band_limit
+        out.data[:, : k + 1, band_limit - k : band_limit + k + 1] = self.data[
+            :, : k + 1, src - k : src + k + 1
+        ]
         return out
 
     def __add__(self, other: "CoeffSet") -> "CoeffSet":

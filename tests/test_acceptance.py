@@ -1,15 +1,19 @@
 """Acceptance gate: every criterion at its stated tolerance and budget.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.
+Criteria 1-7 run the `verify` suites and hold every check they emit to
+the tolerance pinned in PINNED; criteria 8 and 9, and the boundary
+values of criterion 1, are checked directly.  Run with
+`pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
-from sphere_poincare.eigensolver import gamma_numeric, numeric_minimizer
+from sphere_poincare import suites
+from sphere_poincare.eigensolver import gamma_numeric
 from sphere_poincare.flow import (
     el_residual,
     gradient_flow,
@@ -19,26 +23,52 @@ from sphere_poincare.flow import (
 from sphere_poincare.grid import (
     SampledVectorField,
     build_grid,
-    dirichlet_energy_scalar_route,
     normal_field,
     verification_grid,
 )
-from sphere_poincare.sharp import (
-    build_minimizer,
-    equality_residual,
-    gamma,
-    gamma_table_rows,
-    membership_check,
-)
-from sphere_poincare.spectral import (
-    anisotropy_energy,
-    dirichlet_energy,
-    energy_report,
-    norm_sq,
-)
-from sphere_poincare.vsh import CoeffSet, random_coeffs, synthesize, vector_basis
+from sphere_poincare.sharp import gamma, gamma_table_rows
+from sphere_poincare.vsh import CoeffSet, synthesize
 
 FOUR_PI = 4.0 * math.pi
+
+_EQUALITY_KAPPAS = ("-8", "-4.5", "-4", "-3.9", "0", "6", "100")
+
+# Every check of every suite, with the tolerance it must be held to.
+PINNED = {
+    "orthonormality": {
+        "vsh-gram-identity-n<=6": 1e-10,
+        "analyze-synthesize-roundtrip-band4": 1e-11,
+    },
+    "energy-routes": {
+        "g-kappa-identity": 1e-12,
+        "route-equivalence-band4": 1e-8,
+        "parseval-band4": 1e-10,
+        "normal-field-dirichlet-8pi": 1e-9,
+        "normal-field-total-4pi(kappa+2)": 1e-9,
+    },
+    "inequality": {
+        "poincare-lower-bound": 1e-9,
+        "rewritten-form-negative-kappa": 1e-9,
+        "tangential-lower-bound": 1e-9,
+        "tangential-equality-mode": 1e-10,
+    },
+    "equality": {
+        **{f"equality-residual-kappa={k}": 1e-10 for k in _EQUALITY_KAPPAS},
+        **{f"norm-4pi-kappa={k}": 1e-10 for k in _EQUALITY_KAPPAS},
+        **{f"numeric-membership-kappa={k}": 0.0 for k in _EQUALITY_KAPPAS},
+        "boundary-coexistence-kappa=-4": 1e-9,
+    },
+    "lemma": {
+        "minimizer-u3-channel-zero": 1e-12,
+        "minimizer-no-degree>=2": 1e-12,
+        "minimizer-sign-agreement": 1e-12,
+        "argmin-degree<=1": 0.0,
+        "gamma-closed-vs-numeric": 1e-12,
+    },
+}
+
+# Tolerance of the equality suite's boolean membership checks.
+MEMBERSHIP_TOL = 1e-8
 
 
 def _gate(num, label, limit_s, elapsed, conditions):
@@ -50,184 +80,92 @@ def _gate(num, label, limit_s, elapsed, conditions):
     assert elapsed < limit_s, f"runtime {elapsed:.2f}s exceeds {limit_s}s budget"
 
 
-def test_criterion_1_sharp_constant_reproduction():
+def _suite_conditions(suite, seed):
+    """Each check of the suite passes, at exactly its pinned tolerance."""
+    conditions = []
+    for check in suites.run_suite(suite, seed):
+        pinned = PINNED[suite].get(check.name)
+        conditions += [
+            (
+                check.passed,
+                f"{check.name}: residual {check.residual:.3e} > {check.tolerance:g}",
+            ),
+            (
+                check.tolerance == pinned,
+                f"{check.name}: tolerance {check.tolerance:g} is not the pinned {pinned}",
+            ),
+        ]
+    return conditions
+
+
+def _suite_criterion(num, label, limit_s, suite, seed, *extra):
+    """Gate criterion ``num`` on one suite run plus zero-argument ``extra`` conditions."""
     start = time.perf_counter()
-    worst = 0.0
-    for kappa in np.linspace(-20.0, 20.0, 200):
-        kappa = float(kappa)
-        value, _ = gamma_numeric(kappa, 20)
-        worst = max(worst, abs(value - gamma(kappa)))
-    boundary_exact = gamma(-4.0) == -2.0
-    boundary_numeric = abs(gamma_numeric(-4.0, 20)[0] - (-2.0)) <= 1e-12
-    elapsed = time.perf_counter() - start
-    _gate(
-        1,
-        "numeric block sweep reproduces the closed-form sharp constant",
-        1.0,
-        elapsed,
-        [
-            (worst <= 1e-12, f"max |numeric - closed| = {worst:.3e} > 1e-12"),
-            (boundary_exact, "closed form at the boundary is not exactly -2"),
-            (boundary_numeric, "numeric value at the boundary off by more than 1e-12"),
-        ],
+    conditions = _suite_conditions(suite, seed) + [condition() for condition in extra]
+    _gate(num, label, limit_s, time.perf_counter() - start, conditions)
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED))
+def test_suites_emit_exactly_the_pinned_checks(suite):
+    assert set(suites.SUITES) == set(PINNED)
+    emitted = [check.name for check in suites.run_suite(suite, 0)]
+    assert sorted(emitted) == sorted(PINNED[suite])
+
+
+def test_criterion_1_sharp_constant_reproduction():
+    _suite_criterion(
+        1, "numeric block sweep reproduces the closed-form sharp constant", 1.0, "lemma", 0,
+        lambda: (gamma(-4.0) == -2.0, "closed form at the boundary is not exactly -2"),
+        lambda: (
+            abs(gamma_numeric(-4.0, 20)[0] - (-2.0)) <= 1e-12,
+            "numeric value at the boundary off by more than 1e-12",
+        ),
     )
 
 
 def test_criterion_2_poincare_inequality_fuzzing():
-    start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    kappas = [float(k) for k in np.linspace(-10.0, 10.0, 20)]
-    bounds = [FOUR_PI * gamma(k) for k in kappas]
-    worst_violation = -np.inf
-    for _ in range(1000):
-        coeffs = random_coeffs(6, rng, norm_sq=FOUR_PI)
-        dir_term = dirichlet_energy(coeffs)
-        aniso = anisotropy_energy(coeffs)
-        for kappa, bound in zip(kappas, bounds):
-            worst_violation = max(worst_violation, bound - (dir_term + kappa * aniso))
-    elapsed = time.perf_counter() - start
-    _gate(
-        2,
-        "1000 random normalized band-6 tables satisfy the lower bound at 20 weights",
-        5.0,
-        elapsed,
-        [
-            (
-                worst_violation <= 1e-9,
-                f"bound violated by {worst_violation:.3e} > 1e-9",
-            )
-        ],
+    _suite_criterion(
+        2, "1000 random normalized band-6 tables satisfy the lower bound at 20 weights",
+        5.0, "inequality", 2024,
     )
 
 
 def test_criterion_3_equality_family():
-    start = time.perf_counter()
-    conditions = []
-    for kappa in (-8.0, -4.5, -4.0, -3.9, 0.0, 6.0, 100.0):
-        _, coeffs = build_minimizer(kappa)
-        residual = abs(equality_residual(coeffs, kappa))
-        norm_gap = abs(norm_sq(coeffs) - FOUR_PI)
-        member = membership_check(numeric_minimizer(kappa), kappa, 1e-8)
-        conditions += [
-            (residual <= 1e-10, f"kappa={kappa}: residual {residual:.3e} > 1e-10"),
-            (norm_gap <= 1e-10, f"kappa={kappa}: norm gap {norm_gap:.3e} > 1e-10"),
-            (member, f"kappa={kappa}: numeric minimizer fails membership at 1e-8"),
-        ]
-    elapsed = time.perf_counter() - start
-    _gate(3, "closed-form equality family attains the constant; numeric agrees", 1.0, elapsed, conditions)
+    _suite_criterion(
+        3, "closed-form equality family attains the constant; numeric agrees",
+        1.0, "equality", 0,
+        lambda: (
+            suites._MEMBERSHIP_TOL == MEMBERSHIP_TOL,
+            f"membership tolerance {suites._MEMBERSHIP_TOL:g} is not the pinned 1e-8",
+        ),
+    )
 
 
 def test_criterion_4_sequence_space_representation():
-    start = time.perf_counter()
-    rng = np.random.default_rng(404)
-    grid = verification_grid(4)
-    kappas = (-8.0, -4.0, 0.0, 6.0)
-    worst = 0.0
-    for index in range(100):
-        coeffs = random_coeffs(4, rng)
-        field = synthesize(coeffs, grid)
-        report = energy_report(field, kappas[index % 4], band_limit=4)
-        worst = max(worst, report.route_gap)
-    normal = normal_field(grid)
-    anchor_dirichlet = abs(dirichlet_energy_scalar_route(normal, 4) - 8.0 * math.pi)
-    kappa = -8.0
-    anchor_total = abs(
-        energy_report(normal, kappa, band_limit=1).total - FOUR_PI * (kappa + 2.0)
-    )
-    elapsed = time.perf_counter() - start
-    _gate(
-        4,
-        "spectral energies match the quadrature oracle on 100 random band-4 fields",
-        10.0,
-        elapsed,
-        [
-            (worst <= 1e-8, f"worst relative route gap {worst:.3e} > 1e-8"),
-            (anchor_dirichlet <= 1e-9, f"normal-field Dirichlet anchor off by {anchor_dirichlet:.3e}"),
-            (anchor_total <= 1e-9, f"normal-field total anchor off by {anchor_total:.3e}"),
-        ],
+    _suite_criterion(
+        4, "spectral energies match the quadrature oracle on 100 random band-4 fields",
+        10.0, "energy-routes", 404,
     )
 
 
 def test_criterion_5_tangential_sharp_constant():
-    start = time.perf_counter()
-    rng = np.random.default_rng(505)
-    worst_violation = -np.inf
-    for _ in range(500):
-        coeffs = random_coeffs(6, rng, families=(2, 3), norm_sq=FOUR_PI)
-        margin = dirichlet_energy(coeffs) - 2.0 * norm_sq(coeffs)
-        worst_violation = max(worst_violation, -margin)
-    equal = CoeffSet(1)
-    equal[(2, 1, 0)] = math.sqrt(FOUR_PI)
-    equality_gap = abs(dirichlet_energy(equal) - 2.0 * norm_sq(equal))
-    elapsed = time.perf_counter() - start
-    _gate(
-        5,
-        "tangential tables obey the constant-2 bound, tight on the basic mode",
-        2.0,
-        elapsed,
-        [
-            (worst_violation <= 1e-9, f"tangential bound violated by {worst_violation:.3e}"),
-            (equality_gap <= 1e-10, f"equality mode gap {equality_gap:.3e} > 1e-10"),
-        ],
+    _suite_criterion(
+        5, "tangential tables obey the constant-2 bound, tight on the basic mode",
+        2.0, "inequality", 505,
     )
 
 
 def test_criterion_6_orthonormality_and_transforms():
-    start = time.perf_counter()
-    grid = verification_grid(6)
-    basis = vector_basis(grid, 6)
-    gram = np.einsum(
-        "mijk,nijk->mn", basis.matrix * grid.weights[..., None], basis.matrix
-    )
-    gram_gap = float(np.max(np.abs(gram - np.eye(len(basis.modes)))))
-
-    rng = np.random.default_rng(606)
-    grid4 = verification_grid(4)
-    roundtrip_gap = 0.0
-    from sphere_poincare.vsh import analyze
-
-    for _ in range(50):
-        coeffs = random_coeffs(4, rng)
-        back = analyze(synthesize(coeffs, grid4), 4)
-        roundtrip_gap = max(roundtrip_gap, float(np.max(np.abs(back.data - coeffs.data))))
-    elapsed = time.perf_counter() - start
-    _gate(
-        6,
-        "full Gram identity at band 6 and analyze/synthesize round-trip at band 4",
-        10.0,
-        elapsed,
-        [
-            (gram_gap <= 1e-10, f"Gram defect {gram_gap:.3e} > 1e-10"),
-            (roundtrip_gap <= 1e-11, f"round-trip error {roundtrip_gap:.3e} > 1e-11"),
-        ],
+    _suite_criterion(
+        6, "full Gram identity at band 6 and analyze/synthesize round-trip at band 4",
+        10.0, "orthonormality", 606,
     )
 
 
 def test_criterion_7_minimizer_structure():
-    start = time.perf_counter()
-    u3_leak = 0.0
-    high_leak = 0.0
-    sign_defect = 0.0
-    for kappa in np.linspace(-50.0, 50.0, 101):
-        coeffs = numeric_minimizer(float(kappa), n_max=30)
-        u3_leak = max(u3_leak, float(np.max(np.abs(coeffs.data[2]))))
-        if coeffs.band_limit >= 2:
-            high_leak = max(high_leak, float(np.max(np.abs(coeffs.data[:, 2:, :]))))
-        for j in (-1, 0, 1):
-            u1, u2 = coeffs[(1, 1, j)], coeffs[(2, 1, j)]
-            if abs(u1) > 1e-12 or abs(u2) > 1e-12:
-                sign_defect = max(sign_defect, -u1 * u2)
-    elapsed = time.perf_counter() - start
-    _gate(
-        7,
-        "numeric minimizers: no third family, no degree >= 2, equal signs at degree 1",
-        1.0,
-        elapsed,
-        [
-            (u3_leak <= 1e-12, f"third-family leak {u3_leak:.3e} > 1e-12"),
-            (high_leak <= 1e-12, f"degree >= 2 leak {high_leak:.3e} > 1e-12"),
-            (sign_defect <= 1e-12, f"sign defect {sign_defect:.3e} > 1e-12"),
-        ],
+    _suite_criterion(
+        7, "numeric minimizers: no third family, no degree >= 2, equal signs at degree 1",
+        1.0, "lemma", 0,
     )
 
 

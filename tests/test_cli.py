@@ -181,3 +181,27 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         ["flow", "--kappa", "1", "--dt", "0.2", "--steps", "10", "--out", str(tmp_path / "t.csv")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, seed_env",
+    [
+        (["gamma", "--kappa", "nan"], None),
+        (["minimize", "--kappa", "inf", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa", "6", "--grid", "1", "1", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa", "6", "--c0", "1.5", "--out", "{tmp}/m"], None),
+        (["verify", "--suite", "equality"], "abc"),
+        (["flow", "--kappa", "1", "--dt", "0", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--dt=-0.01", "--out", "{tmp}/t.csv"], None),
+    ],
+)
+def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
+    if seed_env is not None:
+        monkeypatch.setenv("SPHERE_POINCARE_SEED", seed_env)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from sphere_poincare.eigensolver import gamma_numeric, numeric_minimizer
 from sphere_poincare.sharp import (
     Regime,
+    _tau_ratio,
     build_minimizer,
     classify_regime,
     equality_residual,
@@ -18,7 +19,7 @@ from sphere_poincare.sharp import (
     write_gamma_table,
 )
 from sphere_poincare.spectral import g_kappa, norm_sq
-from sphere_poincare.vsh import CoeffSet, random_coeffs
+from sphere_poincare.vsh import CoeffSet, mode_list, random_coeffs
 
 FOUR_PI = 4.0 * math.pi
 
@@ -214,3 +215,50 @@ def test_gamma_table_csv_format():
     assert float(row[3]) == 2.0  # |kappa| + gamma = 4 - 2
     assert lines[2].split(",")[3] == ""  # shifted empty for kappa >= 0
     assert lines[3].split(",")[3] == ""
+
+
+def _reference_membership(coeffs, kappa, tol):
+    """Per-mode membership test, the reference for the vectorized one."""
+    support = {(1, 0, 0)} | {(1, 1, j) for j in (-1, 0, 1)} | {(2, 1, j) for j in (-1, 0, 1)}
+    leak = 0.0
+    for mode in mode_list(coeffs.band_limit):
+        if (mode.family, mode.n, mode.j) not in support:
+            leak = max(leak, abs(coeffs[mode]))
+    if leak > tol:
+        return False
+    c0 = coeffs[(1, 0, 0)]
+    sigma = np.array([coeffs[(1, 1, j)] for j in (-1, 0, 1)])
+    tau = np.array([coeffs[(2, 1, j)] for j in (-1, 0, 1)])
+    regime = classify_regime(kappa)
+    if regime is Regime.BELOW:
+        return bool(np.max(np.abs(sigma)) <= tol and np.max(np.abs(tau)) <= tol)
+    if regime is Regime.ABOVE:
+        if abs(c0) > tol:
+            return False
+        return bool(np.max(np.abs(tau - _tau_ratio(kappa) * sigma)) <= tol)
+    return bool(np.max(np.abs(tau - (math.sqrt(2.0) / 2.0) * sigma)) <= tol)
+
+
+@pytest.mark.parametrize("band", [0, 1, 3])
+@pytest.mark.parametrize("kappa", [-8.0, -4.0, 6.0])
+def test_membership_matches_per_mode_reference(kappa, band, rng):
+    tol = 1e-8
+    tables = [random_coeffs(band, rng, norm_sq=FOUR_PI)]
+    if band >= 1 or kappa < -4.0:
+        tables.append(build_minimizer(kappa)[1].with_band_limit(band))
+    leak_modes = [(3, 1, 0)] * (band >= 1) + [(2, 2, 1)] * (band >= 2)
+    verdicts = []
+    for table in tables:
+        cases = [table]
+        for mode in leak_modes:
+            for size in (0.5 * tol, 2.0 * tol):
+                leaky = table.copy()
+                leaky[mode] = size
+                cases.append(math.sqrt(FOUR_PI / norm_sq(leaky)) * leaky)
+        for case in cases:
+            verdict = membership_check(case, kappa, tol)
+            assert verdict == _reference_membership(case, kappa, tol)
+            verdicts.append(verdict)
+    if len(tables) == 2:  # the family member: kept at 0.5 tol, lost at 2 tol
+        member_verdicts = verdicts[-len(cases):]
+        assert member_verdicts == [True] + [True, False] * len(leak_modes)

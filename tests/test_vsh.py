@@ -16,6 +16,7 @@ from sphere_poincare.grid import (
 from sphere_poincare.vsh import (
     CoeffSet,
     ModeIndex,
+    _valid_mask,
     analyze,
     eval_vsh,
     mode_list,
@@ -250,3 +251,72 @@ def test_random_coeffs_norm_and_families(rng):
     c = random_coeffs(4, rng, families=(2, 3), norm_sq=FOUR_PI)
     assert np.max(np.abs(c.data[0])) == 0.0
     assert_allclose(np.sum(c.data * c.data), FOUR_PI, rtol=1e-12)
+
+
+# Per-mode reference implementations of the mode set and the table walks.
+
+
+def _reference_modes(band_limit):
+    modes = []
+    for family in (1, 2, 3):
+        start = 0 if family == 1 else 1
+        for n in range(start, band_limit + 1):
+            for j in range(-n, n + 1):
+                modes.append(ModeIndex(family, n, j))
+    return modes
+
+
+def _reference_mask(band_limit):
+    mask = np.zeros((3, band_limit + 1, 2 * band_limit + 1), dtype=bool)
+    for n in range(band_limit + 1):
+        for j in range(-n, n + 1):
+            mask[0, n, j + band_limit] = True
+            if n >= 1:
+                mask[1, n, j + band_limit] = True
+                mask[2, n, j + band_limit] = True
+    return mask
+
+
+def _reference_with_band_limit(coeffs, band_limit):
+    out = CoeffSet(band_limit)
+    for mode in _reference_modes(min(coeffs.band_limit, band_limit)):
+        out[mode] = coeffs[mode]
+    return out
+
+
+def _reference_csv(coeffs, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("i,n,j,value\n")
+        for mode in _reference_modes(coeffs.band_limit):
+            value = coeffs[mode]
+            if value != 0.0:
+                fh.write(f"{mode.family},{mode.n},{mode.j},{float(value)!r}\n")
+
+
+@pytest.mark.parametrize("band", range(9))
+def test_mode_set_matches_reference(band):
+    modes = _reference_modes(band)
+    assert mode_list(band) == modes
+    assert np.array_equal(_valid_mask(band), _reference_mask(band))
+    coeffs = CoeffSet(band)
+    for index, mode in enumerate(modes):
+        coeffs[mode] = index + 1.0
+    assert np.array_equal(coeffs.as_vector(), np.arange(1.0, len(modes) + 1.0))
+
+
+@pytest.mark.parametrize("band", range(9))
+def test_with_band_limit_matches_reference(band, rng):
+    coeffs = random_coeffs(band, rng)
+    for target in range(9):
+        got = coeffs.with_band_limit(target)
+        assert got.band_limit == target
+        assert np.array_equal(got.data, _reference_with_band_limit(coeffs, target).data)
+
+
+@pytest.mark.parametrize("band", range(9))
+def test_to_csv_matches_reference_writer(band, rng, tmp_path):
+    coeffs = random_coeffs(band, rng)
+    coeffs.data[coeffs.data > 0.5] = 0.0  # zeros are skipped
+    coeffs.to_csv(tmp_path / "got.csv")
+    _reference_csv(coeffs, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
