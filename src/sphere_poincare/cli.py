@@ -9,6 +9,7 @@ The environment variable SPHERE_POINCARE_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .eigensolver import numeric_minimizer
-from .flow import gradient_flow, normalize_field, write_trajectory_csv
+from .flow import _unit_gap, gradient_flow, normalize_field, write_trajectory_csv
 from .grid import FOUR_PI, SampledVectorField, build_grid, export_vector_field_csv, normal_field
 from .sharp import (
     build_minimizer,
@@ -113,11 +114,14 @@ def cmd_gamma(args) -> int:
         if steps < 1 or hi < lo:
             raise ValueError("bad range")
         kappas = np.linspace(lo, hi, steps)
+    # Rendered before --out is opened, so a bad weight leaves no file behind.
+    table = io.StringIO()
+    write_gamma_table(table, kappas)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_gamma_table(fh, kappas)
+            fh.write(table.getvalue())
     else:
-        write_gamma_table(sys.stdout, kappas)
+        sys.stdout.write(table.getvalue())
     return 0
 
 
@@ -221,17 +225,7 @@ def cmd_flow(args) -> int:
     verdict = _flow_verdict(result)
     checks = [
         Check("energy-monotone", max(monotone_gap, 0.0), 1e-10),
-        Check(
-            "unit-norm",
-            float(
-                np.max(
-                    np.abs(
-                        np.sqrt(np.sum(result.state.field.values ** 2, axis=-1)) - 1.0
-                    )
-                )
-            ),
-            1e-12,
-        ),
+        Check("unit-norm", _unit_gap(result.state.field.values), 1e-12),
     ]
     report = RunReport(
         command=f"flow --kappa {args.kappa:g}",

@@ -21,10 +21,9 @@ import numpy as np
 
 from .grid import (
     FOUR_PI,
-    SampledScalarField,
     SampledVectorField,
     dirichlet_energy_scalar_route,
-    integrate,
+    inner_product,
     normal_field,
     scalar_basis,
 )
@@ -51,8 +50,13 @@ def _norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(values * values, axis=-1))
 
 
+def _unit_gap(values: np.ndarray) -> float:
+    """max | |u| - 1 | over the samples."""
+    return float(np.max(np.abs(_norms(values) - 1.0)))
+
+
 def _require_unit(u: SampledVectorField) -> None:
-    gap = float(np.max(np.abs(_norms(u.values) - 1.0)))
+    gap = _unit_gap(u.values)
     if gap > _UNIT_TOL:
         raise ValueError(f"field is not pointwise unit (max | |u|-1 | = {gap:.3e})")
 
@@ -116,10 +120,6 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
 
-def _default_scalar_band(grid) -> int:
-    return min(grid.n_t - 1, (grid.n_phi - 1) // 2)
-
-
 def second_variation_normal(
     v: SampledVectorField, kappa: float, band_limit: int | None = None
 ) -> float:
@@ -134,11 +134,9 @@ def second_variation_normal(
     if radial_gap > 1e-10:
         raise ValueError(f"perturbation is not tangential (max |v.n| = {radial_gap:.3e})")
     if band_limit is None:
-        band_limit = _default_scalar_band(v.grid)
+        band_limit = min(v.grid.n_t - 1, (v.grid.n_phi - 1) // 2)
     dirichlet = dirichlet_energy_scalar_route(v, band_limit)
-    mag = np.sum(v.values * v.values, axis=-1)
-    weight = integrate(SampledScalarField(grid=v.grid, values=mag))
-    return dirichlet - (kappa + 2.0) * weight
+    return dirichlet - (kappa + 2.0) * inner_product(v, v)
 
 
 def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .legendre import scalar_sh
+from .legendre import scalar_sh_table
 
 __all__ = [
     "FOUR_PI",
@@ -192,10 +192,7 @@ class ScalarBasis:
         self.grid = grid
         self.band_limit = band_limit
         self.degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
-        t_mesh, phi_mesh = grid.meshes
-        self.matrix = np.empty((len(self.degrees), grid.n_t, grid.n_phi))
-        for row, (n, j) in zip(self.matrix, self.degrees):
-            row[...] = scalar_sh(n, j, phi_mesh, t_mesh)
+        self.matrix = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None])
         self.eigenvalues = np.array([n * (n + 1) for n, _ in self.degrees], dtype=float)
         # Kept precomputed: the flow trajectory's bits depend on weighted_flat @ values.
         self._weighted = self.matrix * grid.weights

@@ -10,9 +10,11 @@ Conventions used throughout the package:
   for j = 0 and the sine branch for j > 0.  With this convention the
   harmonics are orthonormal for the surface inner product on the sphere.
 
-Evaluation is by the stable three-term recurrence in the degree, seeded
-on the diagonal; the Rodrigues formula is kept only as a small-degree
-test oracle in the test suite.
+Evaluation builds one Legendre table: per order, a diagonal seed and one
+pass of the stable three-term recurrence upward in the degree.  The
+dense bases (through ``scalar_sh_table``) and every per-(n, j) point
+evaluator read that table; the Rodrigues formula is kept only as a
+small-degree test oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "normalized_legendre_dt",
     "scalar_sh",
     "scalar_sh_grad_components",
+    "scalar_sh_table",
 ]
 
 # Band limit cap; far beyond anything the package needs, but keeps the
@@ -59,30 +62,38 @@ def _as_open_interval(t) -> np.ndarray:
     return arr
 
 
-def _match_input(value: np.ndarray, template):
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
+def _as_result(value):
+    # A float for scalar input, else a fresh array rather than a view of a table.
+    return float(value) if np.ndim(value) == 0 else np.array(value)
 
 
-def _assoc_legendre_raw(n: int, j: int, t: np.ndarray) -> np.ndarray:
-    # Diagonal seed P_{j,j} = (2j-1)!! (1-t^2)^{j/2}, then upward in n.
-    double_fact = float(math.prod(range(1, 2 * j, 2)))
-    p_prev = double_fact * (1.0 - t * t) ** (0.5 * j)
-    if n == j:
-        return p_prev
-    p_curr = (2 * j + 1) * t * p_prev
-    for m in range(j + 2, n + 1):
-        p_next = ((2 * m - 1) * t * p_curr - (m - 1 + j) * p_prev) / (m - j)
-        p_prev, p_curr = p_curr, p_next
-    return p_curr
+def _legendre_table(n_max: int, t: np.ndarray) -> np.ndarray:
+    """P_{n,j}(t) at [n, j] for 0 <= j <= n <= n_max (zero for j > n): per order
+    the diagonal seed P_{j,j} = (2j-1)!! (1-t^2)^{j/2}, then one pass upward in n."""
+    table = np.zeros((n_max + 1, n_max + 1) + t.shape)
+    for j in range(n_max + 1):
+        table[j, j] = float(math.prod(range(1, 2 * j, 2))) * (1.0 - t * t) ** (0.5 * j)
+        if j < n_max:
+            table[j + 1, j] = (2 * j + 1) * t * table[j, j]
+        for m in range(j + 2, n_max + 1):
+            table[m, j] = ((2 * m - 1) * t * table[m - 1, j] - (m - 1 + j) * table[m - 2, j]) / (m - j)
+    return table
+
+
+def _legendre_dt_table(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dP_{n,j}/dt = ((n+j) P_{n-1,j} - n t P_{n,j}) / (1-t^2) over a table (|t| < 1)."""
+    j = np.arange(table.shape[0]).reshape((-1,) + (1,) * t.ndim)
+    n = j[:, None]
+    below = np.zeros_like(table)
+    below[1:] = table[:-1]
+    return ((n + j) * below - n * t * table) / (1.0 - t * t)
 
 
 def assoc_legendre(n: int, j: int, t):
     """Evaluate the unsigned associated Legendre function P_{n,j}(t)."""
     _check_degree_order(n, j)
     arr = _as_closed_interval(t)
-    return _match_input(_assoc_legendre_raw(n, j, arr), t)
+    return _as_result(_legendre_table(n, arr)[n, j])
 
 
 def assoc_legendre_dt(n: int, j: int, t):
@@ -93,12 +104,7 @@ def assoc_legendre_dt(n: int, j: int, t):
     """
     _check_degree_order(n, j)
     arr = _as_open_interval(t)
-    if n == 0:
-        return _match_input(np.zeros_like(arr), t)
-    here = _assoc_legendre_raw(n, j, arr)
-    below = _assoc_legendre_raw(n - 1, j, arr) if j <= n - 1 else 0.0
-    deriv = ((n + j) * below - n * arr * here) / (1.0 - arr * arr)
-    return _match_input(deriv, t)
+    return _as_result(_legendre_dt_table(_legendre_table(n, arr), arr)[n, j])
 
 
 def _norm_factor(n: int, j: int) -> float:
@@ -113,9 +119,7 @@ def _norm_factor(n: int, j: int) -> float:
 
 def normalized_legendre(n: int, j: int, t):
     """Orthonormalized X_{n,j}(t), Condon-Shortley phase included."""
-    _check_degree_order(n, j)
-    arr = _as_closed_interval(t)
-    return _match_input(_norm_factor(n, j) * _assoc_legendre_raw(n, j, arr), t)
+    return assoc_legendre(n, j, t) * _norm_factor(n, j)
 
 
 def normalized_legendre_dt(n: int, j: int, t):
@@ -124,24 +128,12 @@ def normalized_legendre_dt(n: int, j: int, t):
 
 
 def scalar_sh(n: int, j: int, phi, t):
-    """Real scalar spherical harmonic Y_{n,j}(phi, t).
-
-    Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for
-    j = 0.
-    """
+    """Real scalar spherical harmonic Y_{n,j}(phi, t), a row of ``scalar_sh_table``."""
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
-    x = normalized_legendre(n, abs(j), t)
-    if j == 0:
-        return x
-    phi_arr = np.asarray(phi, dtype=float)
-    if j < 0:
-        out = _SQRT2 * x * np.cos(j * phi_arr)
-    else:
-        out = _SQRT2 * x * np.sin(j * phi_arr)
-    if np.ndim(phi) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
+    if j == 0:  # X_{n,0}(t) in the shape of t, not broadcast against phi
+        return normalized_legendre(n, 0, t)
+    return _as_result(scalar_sh_table(n, phi, t)[n * (n + 1) + j])
 
 
 def scalar_sh_grad_components(n: int, j: int, phi, t):
@@ -152,20 +144,36 @@ def scalar_sh_grad_components(n: int, j: int, phi, t):
     """
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
-    phi_arr = np.asarray(phi, dtype=float)
-    t_arr = _as_open_interval(t)
-    x = normalized_legendre(n, abs(j), t_arr)
-    dx = normalized_legendre_dt(n, abs(j), t_arr)
-    if j == 0:
-        shape = np.broadcast(phi_arr, t_arr).shape
-        d_phi = np.zeros(shape)
-        d_t = np.broadcast_to(np.asarray(dx), shape).copy()
-    elif j < 0:
-        d_phi = _SQRT2 * x * (-j) * np.sin(j * phi_arr)
-        d_t = _SQRT2 * dx * np.cos(j * phi_arr)
-    else:
-        d_phi = _SQRT2 * x * j * np.cos(j * phi_arr)
-        d_t = _SQRT2 * dx * np.sin(j * phi_arr)
-    if np.ndim(phi) == 0 and np.ndim(t) == 0:
-        return float(d_phi), float(d_t)
-    return d_phi, d_t
+    _, d_phi, d_t = scalar_sh_table(n, phi, t, grad=True)
+    return _as_result(d_phi[n * (n + 1) + j]), _as_result(d_t[n * (n + 1) + j])
+
+
+def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
+    """Y_{n,j}(phi, t) for every n <= band_limit, stacked in (n, j) order.
+
+    Rows run over n = 0..band_limit and j = -n..n, each of the broadcast
+    shape of phi and t; all of them read one Legendre table.  With
+    ``grad`` (|t| < 1 only) returns (Y, dY/dphi, dY/dt), stacked alike.
+    Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for j = 0.
+    """
+    _check_degree_order(band_limit, 0)
+    phi = np.asarray(phi, dtype=float)
+    t = _as_open_interval(t) if grad else _as_closed_interval(t)
+    table = _legendre_table(band_limit, t)
+    dt_table = _legendre_dt_table(table, t) if grad else None
+    degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
+    out = tuple(np.empty((len(degrees),) + np.broadcast(phi, t).shape) for _ in range(1 + 2 * grad))
+    for row, (n, j) in enumerate(degrees):
+        x = table[n, abs(j)] * _norm_factor(n, abs(j))
+        dx = dt_table[n, abs(j)] * _norm_factor(n, abs(j)) if grad else None
+        if j == 0:
+            values = (x, 0.0, dx)
+        else:
+            value, slope = (np.cos, np.sin) if j < 0 else (np.sin, np.cos)
+            angle = j * phi
+            values = (_SQRT2 * x * value(angle),)
+            if grad:
+                values += (_SQRT2 * x * abs(j) * slope(angle), _SQRT2 * dx * value(angle))
+        for dest, v in zip(out, values):
+            dest[row] = v
+    return out if grad else out[0]

@@ -24,6 +24,7 @@ from .grid import (
     SampledScalarField,
     SampledVectorField,
     dirichlet_energy_scalar_route,
+    inner_product,
     integrate,
     normal_field,
 )
@@ -92,8 +93,7 @@ def anisotropy_energy_quadrature(u: SampledVectorField) -> float:
 
 def norm_sq_quadrature(u: SampledVectorField) -> float:
     """Quadrature-route integral of |u|^2."""
-    mag = np.sum(u.values * u.values, axis=-1)
-    return integrate(SampledScalarField(grid=u.grid, values=mag))
+    return inner_product(u, u)
 
 
 @dataclass

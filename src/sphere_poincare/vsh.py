@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, SampledVectorField, _require_resolution, _same_grid, tangent_frame
-from .legendre import MAX_DEGREE, scalar_sh, scalar_sh_grad_components
+from .legendre import MAX_DEGREE, scalar_sh_table
 
 __all__ = [
     "ModeIndex",
@@ -224,23 +224,23 @@ class CoeffSet:
         return out
 
 
+def _mode_field(mode: ModeIndex, tables, frame) -> np.ndarray:
+    """One vector harmonic from the ``scalar_sh_table(..., grad=True)`` rows
+    and the tangent frame at the same nodes."""
+    y, d_phi, d_t = (table[mode.n * (mode.n + 1) + mode.j] for table in tables)
+    eps_phi, eps_t, normal = frame
+    if mode.family == 1:
+        return y[..., None] * normal
+    s = eps_t[..., 2]  # sqrt(1 - t^2)
+    grad = eps_phi * (d_phi / s)[..., None] + eps_t * (s * d_t)[..., None]
+    y2 = grad / np.sqrt(mode.n * (mode.n + 1))
+    return y2 if mode.family == 2 else np.cross(normal, y2)
+
+
 def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:
     """Evaluate one vector harmonic at (phi, t); returns R^3 values."""
-    eps_phi, eps_t, normal = tangent_frame(phi, t)
-    y = scalar_sh(mode.n, mode.j, phi, t)
-    if mode.family == 1:
-        return np.asarray(y)[..., None] * normal
-    d_phi, d_t = scalar_sh_grad_components(mode.n, mode.j, phi, t)
-    t_arr = np.asarray(t, dtype=float)
-    s = np.sqrt(1.0 - t_arr * t_arr)
-    grad = (
-        eps_phi * (np.asarray(d_phi) / s)[..., None]
-        + eps_t * (s * np.asarray(d_t))[..., None]
-    )
-    y2 = grad / np.sqrt(mode.n * (mode.n + 1))
-    if mode.family == 2:
-        return y2
-    return np.cross(normal, y2)
+    frame = tangent_frame(phi, t)
+    return _mode_field(mode, scalar_sh_table(mode.n, phi, t, grad=True), frame)
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -262,10 +262,12 @@ class VectorBasis:
         self.grid = grid
         self.band_limit = band_limit
         self.modes = mode_list(band_limit)
-        t_mesh, phi_mesh = grid.meshes
+        t, phi = grid.t[:, None], grid.phi[None, :]
+        frame = tangent_frame(phi, t)
+        tables = scalar_sh_table(band_limit, phi, t, grad=True)
         self.matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
         for row, mode in zip(self.matrix, self.modes):
-            row[...] = eval_vsh(mode, phi_mesh, t_mesh)
+            row[...] = _mode_field(mode, tables, frame)
 
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:

@@ -193,6 +193,7 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["verify", "--suite", "equality"], "abc"),
         (["flow", "--kappa", "1", "--dt", "0", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--dt=-0.01", "--out", "{tmp}/t.csv"], None),
+        (["gamma", "--kappa", "nan", "--out", "{tmp}/g.csv"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
