@@ -304,8 +304,12 @@ def main(argv=None) -> int:
     if not hasattr(args, "json"):
         args.json = False
     try:
+        for name, value in vars(args).items():
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"--{name.replace('_', '-')} must be finite")
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

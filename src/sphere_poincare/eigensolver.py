@@ -115,7 +115,11 @@ def numeric_minimizer(
     j = 0 axis, or a random direction when ``rng`` is given.  Ties
     prefer the degree-0 channel.
     """
-    _, winners = gamma_numeric(kappa, n_max)
+    return _minimizer_from_channels(kappa, gamma_numeric(kappa, n_max)[1], direction, rng)
+
+
+def _minimizer_from_channels(kappa: float, winners, direction=None, rng=None) -> CoeffSet:
+    """``numeric_minimizer`` from the argmin channels of one ``gamma_numeric`` sweep."""
     scale = math.sqrt(FOUR_PI)
     if (0, "scalar") in winners:
         out = CoeffSet(1)

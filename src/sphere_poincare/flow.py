@@ -24,7 +24,6 @@ from .grid import (
     SampledVectorField,
     dirichlet_energy_scalar_route,
     inner_product,
-    normal_field,
     scalar_basis,
 )
 
@@ -57,7 +56,7 @@ def _unit_gap(values: np.ndarray) -> float:
 
 def _require_unit(u: SampledVectorField) -> None:
     gap = _unit_gap(u.values)
-    if gap > _UNIT_TOL:
+    if not gap <= _UNIT_TOL:  # a NaN gap fails too
         raise ValueError(f"field is not pointwise unit (max | |u|-1 | = {gap:.3e})")
 
 
@@ -79,7 +78,7 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
 
 # Flat-array kernels shared by the public diagnostics and the flow loop.
 # Arrays are (nodes, 3) field values and (modes, 3) scalar-route
-# coefficients; the normal and the weights are flattened once by the caller.
+# coefficients; the normal (grid.frame[2]) and the weights are flattened by the caller.
 
 
 def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
@@ -105,10 +104,6 @@ def _distances(values, normal, weights) -> tuple[float, float]:
     return d_plus / scale, d_minus / scale
 
 
-def _flat_normal(grid) -> np.ndarray:
-    return normal_field(grid).values.reshape(-1, 3)
-
-
 def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> SampledVectorField:
     """Stationarity residual u x (-lap u + kappa (u.n) n) of the
     saturated problem; vanishes exactly at critical points."""
@@ -116,7 +111,7 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     basis = scalar_basis(u.grid, band_limit)
     values = u.values.reshape(-1, 3)
     lap = _laplacian(basis, basis.weighted_flat @ values)
-    residual = _residual(values, lap, _flat_normal(u.grid), kappa)
+    residual = _residual(values, lap, u.grid.frame[2].reshape(-1, 3), kappa)
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
 
@@ -129,7 +124,7 @@ def second_variation_normal(
     int |grad v|^2 - (kappa + 2) |v|^2, evaluated with the scalar-route
     Dirichlet energy.  Negative values certify instability.
     """
-    normal = normal_field(v.grid).values
+    normal = v.grid.frame[2]
     radial_gap = float(np.max(np.abs(np.sum(v.values * normal, axis=-1))))
     if radial_gap > 1e-10:
         raise ValueError(f"perturbation is not tangential (max |v.n| = {radial_gap:.3e})")
@@ -148,7 +143,7 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
         basis,
         basis.weighted_flat @ values,
         values,
-        _flat_normal(u.grid),
+        u.grid.frame[2].reshape(-1, 3),
         u.grid.weights.reshape(-1),
         kappa,
     )
@@ -156,7 +151,7 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
 
 def distance_to_normals(u: SampledVectorField) -> tuple[float, float]:
     """L2 distances to +normal and -normal, each normalized by sqrt(4 pi)."""
-    return _distances(u.values.reshape(-1, 3), _flat_normal(u.grid), u.grid.weights.reshape(-1))
+    return _distances(u.values.reshape(-1, 3), u.grid.frame[2].reshape(-1, 3), u.grid.weights.reshape(-1))
 
 
 @dataclass
@@ -233,13 +228,15 @@ def gradient_flow(
         raise ValueError("band limit must resolve at least degree 1")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(kappa):
+        raise ValueError("kappa must be finite")
     limit = 1.0 / (band_limit * (band_limit + 1))
     if not dt < limit:
         raise ValueError(f"dt={dt} not below the stability bound {limit:.6g}")
 
     grid = u0.grid
     basis = scalar_basis(grid, band_limit)
-    normal = _flat_normal(grid)
+    normal = grid.frame[2].reshape(-1, 3)
     weights = grid.weights.reshape(-1)
     shape = u0.values.shape
 

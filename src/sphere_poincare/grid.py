@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,21 +64,24 @@ class Grid:
     def n_nodes(self) -> int:
         return self.t.size * self.phi.size
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Per-node quadrature weights, shape (n_t, n_phi)."""
-        key = "weights"
-        if key not in self._cache:
-            self._cache[key] = np.outer(self.w_t, np.full(self.n_phi, self.w_phi))
-        return self._cache[key]
+        return np.outer(self.w_t, np.full(self.n_phi, self.w_phi))
 
-    @property
+    @cached_property
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """(t_mesh, phi_mesh) node coordinates, t varying along axis 0."""
-        key = "meshes"
-        if key not in self._cache:
-            self._cache[key] = np.meshgrid(self.t, self.phi, indexing="ij")
-        return self._cache[key]
+        return np.meshgrid(self.t, self.phi, indexing="ij")
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``tangent_frame`` at the nodes, each (n_t, n_phi, 3); read-only, as it is shared."""
+        t_mesh, phi_mesh = self.meshes
+        frame = tangent_frame(phi_mesh, t_mesh)
+        for vectors in frame:
+            vectors.setflags(write=False)
+        return frame
 
 
 def build_grid(n_t: int, n_phi: int) -> Grid:
@@ -162,10 +166,8 @@ def tangent_frame(phi, t):
 
 
 def normal_field(grid: Grid) -> SampledVectorField:
-    """The outward unit normal sampled on the grid."""
-    t_mesh, phi_mesh = grid.meshes
-    _, _, normal = tangent_frame(phi_mesh, t_mesh)
-    return SampledVectorField(grid=grid, values=normal)
+    """The outward unit normal sampled on the grid (read-only ``grid.frame[2]``)."""
+    return SampledVectorField(grid=grid, values=grid.frame[2])
 
 
 def _require_resolution(grid: Grid, band_limit: int) -> None:

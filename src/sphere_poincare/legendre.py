@@ -48,20 +48,6 @@ def _check_degree_order(n: int, j: int) -> None:
         raise ValueError(f"order j={j} outside [0, n={n}]")
 
 
-def _as_closed_interval(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("t must lie in [-1, 1]")
-    return arr
-
-
-def _as_open_interval(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("t must lie strictly inside (-1, 1)")
-    return arr
-
-
 def _as_result(value):
     # A float for scalar input, else a fresh array rather than a view of a table.
     return float(value) if np.ndim(value) == 0 else np.array(value)
@@ -89,11 +75,23 @@ def _legendre_dt_table(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ((n + j) * below - n * t * table) / (1.0 - t * t)
 
 
+def _legendre_tables(n_max: int, t, grad: bool):
+    """The Legendre table up to ``n_max`` at t in [-1, 1], and with ``grad``
+    (t strictly inside) its t-derivative table, else None."""
+    _check_degree_order(n_max, 0)
+    t = np.asarray(t, dtype=float)
+    if grad and np.any(np.abs(t) >= 1.0):
+        raise ValueError("t must lie strictly inside (-1, 1)")
+    if np.any(np.abs(t) > 1.0):
+        raise ValueError("t must lie in [-1, 1]")
+    table = _legendre_table(n_max, t)
+    return table, (_legendre_dt_table(table, t) if grad else None)
+
+
 def assoc_legendre(n: int, j: int, t):
     """Evaluate the unsigned associated Legendre function P_{n,j}(t)."""
     _check_degree_order(n, j)
-    arr = _as_closed_interval(t)
-    return _as_result(_legendre_table(n, arr)[n, j])
+    return _as_result(_legendre_tables(n, t, grad=False)[0][n, j])
 
 
 def assoc_legendre_dt(n: int, j: int, t):
@@ -103,8 +101,7 @@ def assoc_legendre_dt(n: int, j: int, t):
     the sphere absorb the pole through the sqrt(1-t^2) chart factor.
     """
     _check_degree_order(n, j)
-    arr = _as_open_interval(t)
-    return _as_result(_legendre_dt_table(_legendre_table(n, arr), arr)[n, j])
+    return _as_result(_legendre_tables(n, t, grad=True)[1][n, j])
 
 
 def _norm_factor(n: int, j: int) -> float:
@@ -127,13 +124,32 @@ def normalized_legendre_dt(n: int, j: int, t):
     return assoc_legendre_dt(n, j, t) * _norm_factor(n, j)
 
 
-def scalar_sh(n: int, j: int, phi, t):
-    """Real scalar spherical harmonic Y_{n,j}(phi, t), a row of ``scalar_sh_table``."""
+def _sh_rows(n: int, j: int, phi, table, dt_table=None) -> tuple:
+    """Y_{n,j} from the Legendre table, and with ``dt_table`` (dY/dphi, dY/dt):
+    cosine branch for j < 0, sine for j > 0, X_{n,0} in the shape of t for j = 0."""
+    norm = _norm_factor(n, abs(j))
+    x = table[n, abs(j)] * norm
+    dx = None if dt_table is None else dt_table[n, abs(j)] * norm
+    if j == 0:
+        return x, 0.0, dx
+    value, slope = (np.cos, np.sin) if j < 0 else (np.sin, np.cos)
+    angle = j * phi
+    rows = (_SQRT2 * x * value(angle),)
+    if dx is not None:
+        rows += (_SQRT2 * x * abs(j) * slope(angle), _SQRT2 * dx * value(angle))
+    return rows
+
+
+def _sh_mode(n: int, j: int, phi, t, grad: bool = False) -> tuple:
+    """``_sh_rows`` of one (n, j) at (phi, t), from a table up to degree n."""
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
-    if j == 0:  # X_{n,0}(t) in the shape of t, not broadcast against phi
-        return normalized_legendre(n, 0, t)
-    return _as_result(scalar_sh_table(n, phi, t)[n * (n + 1) + j])
+    return _sh_rows(n, j, np.asarray(phi, dtype=float), *_legendre_tables(n, t, grad))
+
+
+def scalar_sh(n: int, j: int, phi, t):
+    """Real scalar spherical harmonic Y_{n,j}(phi, t), a row of ``scalar_sh_table``."""
+    return _as_result(_sh_mode(n, j, phi, t)[0])
 
 
 def scalar_sh_grad_components(n: int, j: int, phi, t):
@@ -142,10 +158,9 @@ def scalar_sh_grad_components(n: int, j: int, phi, t):
     These are chart derivatives; the surface gradient combines them with
     the 1/sqrt(1-t^2) and sqrt(1-t^2) factors.  Poles are rejected.
     """
-    if abs(j) > n:
-        raise ValueError(f"order j={j} outside [-n, n] for n={n}")
-    _, d_phi, d_t = scalar_sh_table(n, phi, t, grad=True)
-    return _as_result(d_phi[n * (n + 1) + j]), _as_result(d_t[n * (n + 1) + j])
+    _, d_phi, d_t = _sh_mode(n, j, phi, t, grad=True)
+    shape = np.broadcast_shapes(np.shape(phi), np.shape(t))
+    return _as_result(np.broadcast_to(d_phi, shape)), _as_result(np.broadcast_to(d_t, shape))
 
 
 def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
@@ -156,24 +171,11 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
     ``grad`` (|t| < 1 only) returns (Y, dY/dphi, dY/dt), stacked alike.
     Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for j = 0.
     """
-    _check_degree_order(band_limit, 0)
+    table, dt_table = _legendre_tables(band_limit, t, grad)
     phi = np.asarray(phi, dtype=float)
-    t = _as_open_interval(t) if grad else _as_closed_interval(t)
-    table = _legendre_table(band_limit, t)
-    dt_table = _legendre_dt_table(table, t) if grad else None
     degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
     out = tuple(np.empty((len(degrees),) + np.broadcast(phi, t).shape) for _ in range(1 + 2 * grad))
     for row, (n, j) in enumerate(degrees):
-        x = table[n, abs(j)] * _norm_factor(n, abs(j))
-        dx = dt_table[n, abs(j)] * _norm_factor(n, abs(j)) if grad else None
-        if j == 0:
-            values = (x, 0.0, dx)
-        else:
-            value, slope = (np.cos, np.sin) if j < 0 else (np.sin, np.cos)
-            angle = j * phi
-            values = (_SQRT2 * x * value(angle),)
-            if grad:
-                values += (_SQRT2 * x * abs(j) * slope(angle), _SQRT2 * dx * value(angle))
-        for dest, v in zip(out, values):
+        for dest, v in zip(out, _sh_rows(n, j, phi, table, dt_table)):
             dest[row] = v
     return out if grad else out[0]

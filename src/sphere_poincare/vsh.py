@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import Grid, SampledVectorField, _require_resolution, _same_grid, tangent_frame
-from .legendre import MAX_DEGREE, scalar_sh_table
+from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
 
 __all__ = [
     "ModeIndex",
@@ -104,43 +104,36 @@ class CoeffSet:
                 raise ValueError("nonzero coefficient outside the valid mode set")
             self.data = data.copy()
 
-    @staticmethod
-    def _key(key) -> tuple[int, int, int]:
+    def _index(self, key, write: bool = False) -> tuple[int, int, int] | None:
+        """Array index of a (family, n, j) key or ModeIndex, after validating it;
+        None for an entry pinned to zero: families 2 and 3 at n = 0, or n above
+        the band (there a write raises)."""
         if isinstance(key, ModeIndex):
-            return key.family, key.n, key.j
-        family, n, j = key
-        return int(family), int(n), int(j)
-
-    def _position(self, family: int, n: int, j: int) -> tuple[int, int, int]:
+            key = key.family, key.n, key.j
+        family, n, j = map(int, key)
         if family not in (1, 2, 3):
             raise ValueError(f"family must be 1, 2 or 3, got {family}")
-        if n < 0 or abs(j) > n:
+        if not 0 <= n <= MAX_DEGREE or abs(j) > n:
             raise ValueError(f"invalid degree/order ({n}, {j})")
-        return family - 1, n, j + self.band_limit
+        if n > self.band_limit:
+            if write:
+                raise ValueError(f"degree {n} exceeds band limit {self.band_limit}")
+            return None
+        return None if family != 1 and n == 0 else (family - 1, n, j + self.band_limit)
 
     def __getitem__(self, key) -> float:
-        family, n, j = self._key(key)
-        if family != 1 and n == 0:
-            return 0.0
-        if n > self.band_limit:
-            self._position(family, n, j)  # validate shape of the request
-            return 0.0
-        i, a, b = self._position(family, n, j)
-        return float(self.data[i, a, b])
+        index = self._index(key)
+        return 0.0 if index is None else float(self.data[index])
 
     def __setitem__(self, key, value: float) -> None:
-        family, n, j = self._key(key)
         value = float(value)
         if not np.isfinite(value):
             raise ValueError("coefficient values must be finite")
-        if family != 1 and n == 0:
-            if value != 0.0:
-                raise ValueError("degree-0 modes of families 2 and 3 are zero")
-            return
-        if n > self.band_limit:
-            raise ValueError(f"degree {n} exceeds band limit {self.band_limit}")
-        i, a, b = self._position(family, n, j)
-        self.data[i, a, b] = value
+        index = self._index(key, write=True)
+        if index is not None:
+            self.data[index] = value
+        elif value != 0.0:
+            raise ValueError("degree-0 modes of families 2 and 3 are zero")
 
     def items_nonzero(self):
         mask = _valid_mask(self.band_limit) & (self.data != 0.0)
@@ -217,17 +210,13 @@ class CoeffSet:
         if band_limit is None:
             band_limit = max((n for _, n, _ in entries), default=0)
         out = cls(band_limit)
-        for (family, n, j), value in entries.items():
-            if n > band_limit:
-                raise ValueError(f"mode degree {n} exceeds band limit {band_limit}")
-            out[(family, n, j)] = value
+        for mode, value in entries.items():
+            out[mode] = value  # rejects a degree above the band limit
         return out
 
 
-def _mode_field(mode: ModeIndex, tables, frame) -> np.ndarray:
-    """One vector harmonic from the ``scalar_sh_table(..., grad=True)`` rows
-    and the tangent frame at the same nodes."""
-    y, d_phi, d_t = (table[mode.n * (mode.n + 1) + mode.j] for table in tables)
+def _mode_field(mode: ModeIndex, frame, y, d_phi, d_t) -> np.ndarray:
+    """One vector harmonic from the tangent frame and its rows Y, dY/dphi, dY/dt."""
     eps_phi, eps_t, normal = frame
     if mode.family == 1:
         return y[..., None] * normal
@@ -240,7 +229,7 @@ def _mode_field(mode: ModeIndex, tables, frame) -> np.ndarray:
 def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:
     """Evaluate one vector harmonic at (phi, t); returns R^3 values."""
     frame = tangent_frame(phi, t)
-    return _mode_field(mode, scalar_sh_table(mode.n, phi, t, grad=True), frame)
+    return _mode_field(mode, frame, *_sh_mode(mode.n, mode.j, phi, t, grad=True))
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -262,12 +251,11 @@ class VectorBasis:
         self.grid = grid
         self.band_limit = band_limit
         self.modes = mode_list(band_limit)
-        t, phi = grid.t[:, None], grid.phi[None, :]
-        frame = tangent_frame(phi, t)
-        tables = scalar_sh_table(band_limit, phi, t, grad=True)
+        tables = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
         self.matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
         for row, mode in zip(self.matrix, self.modes):
-            row[...] = _mode_field(mode, tables, frame)
+            k = mode.n * (mode.n + 1) + mode.j
+            row[...] = _mode_field(mode, grid.frame, *(table[k] for table in tables))
 
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:

@@ -194,6 +194,13 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["flow", "--kappa", "1", "--dt", "0", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--dt=-0.01", "--out", "{tmp}/t.csv"], None),
         (["gamma", "--kappa", "nan", "--out", "{tmp}/g.csv"], None),
+        (["minimize", "--kappa", "6", "--out", "{tmp}/missing/m"], None),
+        (["verify", "--suite", "equality", "--out", "{tmp}/missing/r.json"], None),
+        (["flow", "--kappa", "nan", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--perturb", "inf", "--out", "{tmp}/t.csv"], None),
+        (["minimize", "--kappa", "-8", "--sign", "nan", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa", "6", "--tol", "nan", "--out", "{tmp}/m"], None),
+        (["gamma", "--range", "0", "inf", "3"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):

@@ -185,6 +185,14 @@ def test_flow_rejects_non_unit_start():
         gradient_flow(bad, kappa=0.0, dt=0.01, steps=10, band_limit=4)
 
 
+@pytest.mark.parametrize("kappa, values", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+def test_flow_rejects_non_finite_input(kappa, values):
+    grid = verification_grid(4)
+    u0 = SampledVectorField(grid=grid, values=values * normal_field(grid).values)
+    with pytest.raises(ValueError):
+        gradient_flow(u0, kappa=kappa, dt=0.01, steps=10, band_limit=4)
+
+
 def test_distance_to_normals():
     grid = build_grid(6, 13)
     n = normal_field(grid)

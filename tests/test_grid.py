@@ -129,6 +129,48 @@ def test_tangent_frame_rejects_poles():
         tangent_frame(0.0, 1.0)
 
 
+def test_normal_field_is_the_shared_read_only_frame():
+    grid = build_grid(6, 11)
+    normal = normal_field(grid).values
+    t_mesh, phi_mesh = grid.meshes
+    assert normal.tobytes() == tangent_frame(phi_mesh, t_mesh)[2].tobytes()
+    assert normal is grid.frame[2] and normal_field(grid).values is normal
+    for vectors in grid.frame:
+        assert not vectors.flags.writeable
+    with pytest.raises(ValueError):
+        normal[0, 0, 0] = 1.0
+
+
+def test_tangent_frame_runs_once_per_grid(monkeypatch):
+    from sphere_poincare import grid as grid_module
+    from sphere_poincare import vsh
+    from sphere_poincare.flow import el_residual, gradient_flow, normalize_field
+    from sphere_poincare.spectral import energy_report
+
+    calls = []
+
+    def counting(phi, t):
+        calls.append(1)
+        return tangent_frame(phi, t)
+
+    monkeypatch.setattr(grid_module, "tangent_frame", counting)
+    monkeypatch.setattr(vsh, "tangent_frame", counting)
+    grid = verification_grid(4)
+    vsh.vector_basis(grid, 4)
+    normal = normal_field(grid)
+    normal_field(grid), normal_field(grid)
+    for kappa in (-8.0, 6.0):
+        energy_report(normal, kappa, band_limit=4)
+    el_residual(normal, 1.0, 4)
+    mode = vsh.CoeffSet(4)
+    mode[(2, 1, 0)] = 0.05
+    u0 = normalize_field(
+        SampledVectorField(grid=grid, values=normal.values + vsh.synthesize(mode, grid).values)
+    )
+    gradient_flow(u0, 1.0, dt=0.02, steps=3, band_limit=4)
+    assert len(calls) == 1
+
+
 def test_scalar_analyze_delta():
     grid = verification_grid(4)
     t_mesh, phi_mesh = grid.meshes

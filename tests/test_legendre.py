@@ -220,3 +220,18 @@ def test_scalar_sh_unit_norm_by_quadrature():
         values = scalar_sh(n, j, phi_mesh, t_mesh)
         sq = SampledScalarField(grid=grid, values=values * values)
         assert_allclose(integrate(sq), 1.0, rtol=0, atol=1e-12)
+
+
+def test_single_mode_evaluators_skip_the_full_table(monkeypatch):
+    from sphere_poincare import legendre
+    from sphere_poincare.vsh import ModeIndex, eval_vsh
+
+    def full_table(*args, **kwargs):
+        raise AssertionError("a single-mode evaluator built every row up to its degree")
+
+    monkeypatch.setattr(legendre, "scalar_sh_table", full_table)
+    t_mesh, phi_mesh = verification_grid(6).meshes
+    for j in (-3, 0, 4):
+        scalar_sh(6, j, phi_mesh, t_mesh)
+        scalar_sh_grad_components(6, j, phi_mesh, t_mesh)
+        eval_vsh(ModeIndex(2, 6, j), phi_mesh, t_mesh)

@@ -204,15 +204,28 @@ def test_coeffset_basics():
     assert c[(1, 2, -2)] == 3.5
     assert c[ModeIndex(1, 2, -2)] == 3.5
     assert c[(2, 0, 0)] == 0.0  # convention: representable only as zero
+    assert c[(1, 5, -5)] == 0.0  # above the band limit
     c[(3, 0, 0)] = 0.0  # allowed no-op
     with pytest.raises(ValueError):
         c[(2, 0, 0)] = 1.0
-    with pytest.raises(ValueError):
-        c[(1, 3, 0)] = 1.0  # beyond band limit
+    for value in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            c[(1, 3, 0)] = value  # beyond band limit
     with pytest.raises(ValueError):
         c[(1, 1, 2)] = 1.0
     with pytest.raises(ValueError):
         c[(1, 1, 0)] = math.inf
+
+
+@pytest.mark.parametrize("key", [(5, 0, 0), (0, 0, 0), (2, 0, 7), (3, 0, 9), (1, 70, 0), (1, -1, 0)])
+def test_coeffset_rejects_invalid_keys(key):
+    c = CoeffSet(2)
+    with pytest.raises(ValueError):
+        c[key]
+    for value in (0.0, 1.0):
+        with pytest.raises(ValueError, match="family|degree/order"):
+            c[key] = value
+    assert not c.data.any()
 
 
 def test_coeffset_csv_roundtrip(tmp_path, rng):
