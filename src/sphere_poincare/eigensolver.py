@@ -58,6 +58,11 @@ def block(n: int, kappa: float) -> SpectralBlock:
     return SpectralBlock(n=n, kappa=kappa, matrix=matrix, u3_eigenvalue=nstar)
 
 
+def _smaller_eigenvalue(a, b, d):
+    """Smaller eigenvalue of the symmetric [[a, b], [b, d]], elementwise over arrays."""
+    return 0.5 * ((a + d) - np.sqrt((a - d) * (a - d) + 4.0 * b * b))
+
+
 def min_eigenpair(blk: SpectralBlock) -> tuple[float, np.ndarray]:
     """Smaller eigenvalue and unit eigenvector of a degree >= 1 block.
 
@@ -67,9 +72,7 @@ def min_eigenpair(blk: SpectralBlock) -> tuple[float, np.ndarray]:
     if blk.n < 1:
         raise ValueError("degree-0 block has no (u1, u2) eigenpair")
     a, b = blk.matrix[0, 0], blk.matrix[0, 1]
-    d = blk.matrix[1, 1]
-    disc = math.sqrt((a - d) ** 2 + 4.0 * b * b)
-    value = 0.5 * ((a + d) - disc)
+    value = _smaller_eigenvalue(a, b, blk.matrix[1, 1])
     vec = np.array([b, value - a])
     vec /= math.sqrt(float(vec @ vec))
     if vec[0] < 0.0 or (vec[0] == 0.0 and vec[1] < 0.0):
@@ -85,19 +88,23 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     minimum of the per-mode energy, i.e. the best constant for the
     normalized problem, together with every channel attaining it as a
     ``(degree, kind)`` tuple, kind one of ``"scalar"`` (degree 0 only),
-    ``"block"`` and ``"u3"``, in candidate order.
+    ``"block"`` and ``"u3"``, in candidate order.  The blocks of all
+    degrees are solved in one array pass, entry for entry as ``block``
+    and ``min_eigenpair`` would.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    candidates: list[tuple[float, tuple[int, str]]] = [(kappa + 2.0, (0, "scalar"))]
-    for n in range(1, n_max + 1):
-        blk = block(n, kappa)
-        value, _ = min_eigenpair(blk)
-        candidates.append((value, (n, "block")))
-        candidates.append((blk.u3_eigenvalue, (n, "u3")))
-    best = min(value for value, _ in candidates)
+    n = np.arange(1, n_max + 1)
+    nstar = (n * (n + 1)).astype(float)
+    # Candidate order: the scalar, then (block, u3) per degree.
+    values = np.empty(2 * n_max + 1)
+    values[0] = kappa + 2.0
+    values[1::2] = _smaller_eigenvalue(nstar + 2.0 + kappa, -2.0 * np.sqrt(nstar), nstar)
+    values[2::2] = nstar
+    best = float(values.min())
     tol = _TIE_TOL * max(1.0, abs(best))
-    winners = tuple(channel for value, channel in candidates if value - best <= tol)
+    channels = [(0, "scalar")] + [(int(k), kind) for k in n for kind in ("block", "u3")]
+    winners = tuple(channels[i] for i in np.flatnonzero(values - best <= tol))
     return best, winners
 
 

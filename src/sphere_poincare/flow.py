@@ -78,7 +78,8 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
 
 # Flat-array kernels shared by the public diagnostics and the flow loop.
 # Arrays are (nodes, 3) field values and (modes, 3) scalar-route
-# coefficients; the normal (grid.frame[2]) and the weights are flattened by the caller.
+# coefficients; the normal (grid.frame[2]) and the weights are flattened by
+# the caller, which also computes the radial part u.n once per field.
 
 
 def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
@@ -86,15 +87,19 @@ def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
     return basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
 
 
-def _energy(basis, coeffs, values, normal, weights, kappa: float) -> float:
+def _radial(values, normal) -> np.ndarray:
+    return np.sum(values * normal, axis=-1)
+
+
+def _energy(basis, coeffs, radial, weights, kappa: float) -> float:
     dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
-    radial = np.sum(values * normal, axis=-1)
     return dirichlet + kappa * float(np.sum(weights * radial * radial))
 
 
-def _residual(values, lap, normal, kappa: float) -> np.ndarray:
-    radial = np.sum(values * normal, axis=-1)
-    return np.cross(values, lap + kappa * radial[:, None] * normal)
+def _residual(values, lap, radial, normal, kappa: float) -> np.ndarray:
+    """values x (lap + kappa (u.n) n), written out as np.cross computes it."""
+    force = lap + kappa * radial[:, None] * normal
+    return values[:, [1, 2, 0]] * force[:, [2, 0, 1]] - values[:, [2, 0, 1]] * force[:, [1, 2, 0]]
 
 
 def _distances(values, normal, weights) -> tuple[float, float]:
@@ -110,8 +115,9 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     _require_unit(u)
     basis = scalar_basis(u.grid, band_limit)
     values = u.values.reshape(-1, 3)
+    normal = u.grid.frame[2].reshape(-1, 3)
     lap = _laplacian(basis, basis.weighted_flat @ values)
-    residual = _residual(values, lap, u.grid.frame[2].reshape(-1, 3), kappa)
+    residual = _residual(values, lap, _radial(values, normal), normal, kappa)
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
 
@@ -142,8 +148,7 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
     return _energy(
         basis,
         basis.weighted_flat @ values,
-        values,
-        u.grid.frame[2].reshape(-1, 3),
+        _radial(values, u.grid.frame[2].reshape(-1, 3)),
         u.grid.weights.reshape(-1),
         kappa,
     )
@@ -193,9 +198,9 @@ class FlowResult:
         return max(min(r.dist_plus, r.dist_minus) for r in self.records)
 
 
-def _record(step, time, energy, values, lap, normal, weights, kappa) -> FlowRecord:
-    """Trajectory row of an accepted iterate, given its Laplacian."""
-    residual_max = float(np.max(_norms(_residual(values, lap, normal, kappa))))
+def _record(step, time, energy, values, lap, radial, normal, weights, kappa) -> FlowRecord:
+    """Trajectory row of an accepted iterate, given its Laplacian and radial part."""
+    residual_max = float(np.max(_norms(_residual(values, lap, radial, normal, kappa))))
     return FlowRecord(step, time, energy, *_distances(values, normal, weights), residual_max)
 
 
@@ -242,13 +247,14 @@ def gradient_flow(
 
     u = normalize_field(u0).values.reshape(-1, 3)
     coeffs = basis.weighted_flat @ u
-    # One Laplacian per accepted iterate serves both its record and the next step.
+    # One Laplacian and one radial part per accepted iterate serve its
+    # energy, its record and the next step.
     lap = _laplacian(basis, coeffs)
-    energy = _energy(basis, coeffs, u, normal, weights, kappa)
+    radial = _radial(u, normal)
+    energy = _energy(basis, coeffs, radial, weights, kappa)
 
-    records = [_record(0, 0.0, energy, u, lap, normal, weights, kappa)]
+    records = [_record(0, 0.0, energy, u, lap, radial, normal, weights, kappa)]
     for step in range(1, steps + 1):
-        radial = np.sum(u * normal, axis=-1)
         grad = 2.0 * lap + 2.0 * kappa * radial[:, None] * normal
         grad -= np.sum(grad * u, axis=-1)[:, None] * u
         candidate = u - dt * grad
@@ -256,16 +262,17 @@ def gradient_flow(
         candidate = basis.matrix_flat.T @ (basis.weighted_flat @ candidate)
         candidate /= _norms(candidate)[:, None]
         coeffs = basis.weighted_flat @ candidate
-        new_energy = _energy(basis, coeffs, candidate, normal, weights, kappa)
+        candidate_radial = _radial(candidate, normal)
+        new_energy = _energy(basis, coeffs, candidate_radial, weights, kappa)
         if new_energy > energy + _ENERGY_INCREASE_TOL:
             raise RuntimeError(
                 f"energy increased by {new_energy - energy:.3e} at step {step}; "
                 "dt too large for this band limit"
             )
-        u, energy = candidate, new_energy
+        u, radial, energy = candidate, candidate_radial, new_energy
         lap = _laplacian(basis, coeffs)
         if step % record_every == 0 or step == steps:
-            records.append(_record(step, step * dt, energy, u, lap, normal, weights, kappa))
+            records.append(_record(step, step * dt, energy, u, lap, radial, normal, weights, kappa))
 
     final = SampledVectorField(grid=grid, values=u.reshape(shape))
     state = FlowState(field=final, kappa=kappa, band_limit=band_limit, step=steps, energy=energy)

@@ -191,7 +191,6 @@ class ScalarBasis:
 
     def __init__(self, grid: Grid, band_limit: int):
         _require_resolution(grid, band_limit)
-        self.grid = grid
         self.band_limit = band_limit
         self.degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
         self.matrix = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None])

@@ -47,41 +47,51 @@ def _nstar_grid(band_limit: int) -> np.ndarray:
     return (n * (n + 1.0))[:, None]
 
 
+# Kernels over stacked (..., 3, n+1, 2n+1) coefficient tables, one value per
+# table; each table's sum runs over its trailing axes as it would alone.
+
+
+def _dirichlet(data: np.ndarray) -> np.ndarray:
+    nstar = _nstar_grid(data.shape[-2] - 1)
+    u1, u2, u3 = np.moveaxis(data, -3, 0)
+    terms = (nstar + 2.0) * u1 * u1 - 4.0 * np.sqrt(nstar) * u1 * u2 + nstar * (u2 * u2 + u3 * u3)
+    return np.sum(terms, axis=(-2, -1))
+
+
+def _anisotropy(data: np.ndarray) -> np.ndarray:
+    u1 = data[..., 0, :, :]
+    return np.sum(u1 * u1, axis=(-2, -1))
+
+
+def _g_kappa(data: np.ndarray, kappa: float) -> np.ndarray:
+    nstar = _nstar_grid(data.shape[-2] - 1)
+    u1, u2, u3 = np.moveaxis(data, -3, 0)
+    terms = (nstar - 2.0 + kappa) * u1 * u1 + (2.0 * u1 - np.sqrt(nstar) * u2) ** 2 + nstar * u3 * u3
+    return np.sum(terms, axis=(-2, -1))
+
+
+def _norm_sq(data: np.ndarray) -> np.ndarray:
+    return np.sum(data * data, axis=(-3, -2, -1))
+
+
 def dirichlet_energy(coeffs: CoeffSet) -> float:
     """Surface Dirichlet energy from the coefficient table."""
-    nstar = _nstar_grid(coeffs.band_limit)
-    u1, u2, u3 = coeffs.data
-    return float(
-        np.sum(
-            (nstar + 2.0) * u1 * u1
-            - 4.0 * np.sqrt(nstar) * u1 * u2
-            + nstar * (u2 * u2 + u3 * u3)
-        )
-    )
+    return float(_dirichlet(coeffs.data))
 
 
 def anisotropy_energy(coeffs: CoeffSet) -> float:
     """Integral of (u . normal)^2 from the coefficient table."""
-    u1 = coeffs.data[0]
-    return float(np.sum(u1 * u1))
+    return float(_anisotropy(coeffs.data))
 
 
 def g_kappa(coeffs: CoeffSet, kappa: float) -> float:
     """Penalized energy dirichlet + kappa * anisotropy, in closed block form."""
-    nstar = _nstar_grid(coeffs.band_limit)
-    u1, u2, u3 = coeffs.data
-    return float(
-        np.sum(
-            (nstar - 2.0 + kappa) * u1 * u1
-            + (2.0 * u1 - np.sqrt(nstar) * u2) ** 2
-            + nstar * u3 * u3
-        )
-    )
+    return float(_g_kappa(coeffs.data, kappa))
 
 
 def norm_sq(coeffs: CoeffSet) -> float:
     """Squared L2 norm (sum of squared coefficients)."""
-    return float(np.sum(coeffs.data * coeffs.data))
+    return float(_norm_sq(coeffs.data))
 
 
 def anisotropy_energy_quadrature(u: SampledVectorField) -> float:
@@ -122,17 +132,11 @@ class EnergyBreakdown:
         )
 
 
-def _breakdown_from_coeffs(coeffs: CoeffSet, kappa: float) -> EnergyBreakdown:
-    dirichlet = dirichlet_energy(coeffs)
-    anisotropy = anisotropy_energy(coeffs)
-    return EnergyBreakdown(
-        dirichlet=dirichlet,
-        anisotropy=anisotropy,
-        total=dirichlet + kappa * anisotropy,
-        norm_sq=norm_sq(coeffs),
-        kappa=kappa,
-        route="spectral",
-    )
+def _breakdowns(dirichlet, anisotropy, norm, kappas, route: str) -> list[EnergyBreakdown]:
+    return [
+        EnergyBreakdown(dirichlet, anisotropy, dirichlet + kappa * anisotropy, norm, kappa, route)
+        for kappa in kappas
+    ]
 
 
 def _relative_gap(a: float, b: float) -> float:
@@ -147,28 +151,37 @@ def energy_report(subject, kappa: float, band_limit: int | None = None) -> Energ
     relative disagreement under ``.route_gap`` (a diagnostic, not an
     error).
     """
+    return _energy_reports(subject, (kappa,), band_limit)[0]
+
+
+def _energy_reports(subject, kappas, band_limit: int | None = None) -> list[EnergyBreakdown]:
+    """``energy_report`` at each of ``kappas``; the subject is analyzed once."""
     if isinstance(subject, CoeffSet):
-        return _breakdown_from_coeffs(subject, kappa)
-    if not isinstance(subject, SampledVectorField):
+        coeffs = subject
+    elif not isinstance(subject, SampledVectorField):
         raise TypeError("expected a CoeffSet or a SampledVectorField")
-    if band_limit is None:
+    elif band_limit is None:
         raise ValueError("band_limit is required for sampled input")
-    coeffs = analyze(subject, band_limit)
-    report = _breakdown_from_coeffs(coeffs, kappa)
-    # Cartesian components of a band-N vector field are scalar band N+1.
-    quad_dirichlet = dirichlet_energy_scalar_route(subject, band_limit + 1)
-    quad_anisotropy = anisotropy_energy_quadrature(subject)
-    report.quadrature = EnergyBreakdown(
-        dirichlet=quad_dirichlet,
-        anisotropy=quad_anisotropy,
-        total=quad_dirichlet + kappa * quad_anisotropy,
-        norm_sq=norm_sq_quadrature(subject),
-        kappa=kappa,
-        route="quadrature",
+    else:
+        coeffs = analyze(subject, band_limit)
+    reports = _breakdowns(
+        dirichlet_energy(coeffs), anisotropy_energy(coeffs), norm_sq(coeffs), kappas, "spectral"
     )
-    report.route_gap = max(
-        _relative_gap(report.dirichlet, quad_dirichlet),
-        _relative_gap(report.anisotropy, quad_anisotropy),
-        _relative_gap(report.total, report.quadrature.total),
+    if coeffs is subject:
+        return reports
+    quadrature = _breakdowns(
+        # Cartesian components of a band-N vector field are scalar band N+1.
+        dirichlet_energy_scalar_route(subject, band_limit + 1),
+        anisotropy_energy_quadrature(subject),
+        norm_sq_quadrature(subject),
+        kappas,
+        "quadrature",
     )
-    return report
+    for report, quad in zip(reports, quadrature):
+        report.quadrature = quad
+        report.route_gap = max(
+            _relative_gap(report.dirichlet, quad.dirichlet),
+            _relative_gap(report.anisotropy, quad.anisotropy),
+            _relative_gap(report.total, quad.total),
+        )
+    return reports

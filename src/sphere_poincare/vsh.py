@@ -14,13 +14,14 @@ Coefficients are stored dense per (family, n, j) up to the band limit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import Grid, SampledVectorField, _require_resolution, _same_grid, tangent_frame
-from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
+from .legendre import MAX_DEGREE, _legendre_tables, _sh_mode, _sh_rows
 
 __all__ = [
     "ModeIndex",
@@ -244,18 +245,35 @@ def _unit_direction(direction) -> np.ndarray:
 
 
 class VectorBasis:
-    """All vector harmonics up to a band limit evaluated on one grid."""
+    """All vector harmonics up to a band limit evaluated on one grid.
+
+    The basis refers to its grid weakly: the grid caches its bases, so a
+    strong reference back would keep both alive until the cyclic
+    garbage collector runs.
+    """
 
     def __init__(self, grid: Grid, band_limit: int):
         _require_resolution(grid, band_limit)
-        self.grid = grid
+        self._grid = weakref.ref(grid)
         self.band_limit = band_limit
         self.modes = mode_list(band_limit)
-        tables = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
         self.matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
-        for row, mode in zip(self.matrix, self.modes):
-            k = mode.n * (mode.n + 1) + mode.j
-            row[...] = _mode_field(mode, grid.frame, *(table[k] for table in tables))
+        index = {(mode.family, mode.n, mode.j): k for k, mode in enumerate(self.modes)}
+        tables = _legendre_tables(band_limit, grid.t[:, None], grad=True)
+        # One scalar harmonic's rows serve the (up to three) family rows of its (n, j).
+        for n in range(band_limit + 1):
+            for j in range(-n, n + 1):
+                rows = _sh_rows(n, j, grid.phi[None, :], *tables)
+                for family in (1, 2, 3) if n else (1,):
+                    mode = ModeIndex(family, n, j)
+                    self.matrix[index[family, n, j]] = _mode_field(mode, grid.frame, *rows)
+
+    @property
+    def grid(self) -> Grid:
+        grid = self._grid()
+        if grid is None:
+            raise ReferenceError("the grid of this basis has been freed; keep a reference to it")
+        return grid
 
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:
@@ -301,13 +319,25 @@ def random_coeffs(
     the constraint set rotation-invariantly, which is what the fuzzing
     suites want.
     """
-    out = CoeffSet(band_limit)
+    return CoeffSet(band_limit, _random_tables(band_limit, rng, 1, families, norm_sq)[0])
+
+
+def _random_tables(
+    band_limit: int,
+    rng: np.random.Generator,
+    count: int,
+    families=(1, 2, 3),
+    norm_sq: float | None = None,
+) -> np.ndarray:
+    """``count`` stacked ``random_coeffs`` data tables, shape (count, 3, n+1, 2n+1),
+    drawn from ``rng`` in the order that ``count`` calls would draw them."""
     family_rows = np.array([f in families for f in (1, 2, 3)])
     mask = _valid_mask(band_limit) & family_rows[:, None, None]
-    out.data[mask] = rng.standard_normal(int(mask.sum()))
+    data = np.zeros((count,) + mask.shape)
+    data[:, mask] = rng.standard_normal((count, int(mask.sum())))
     if norm_sq is not None:
-        current = float(np.sum(out.data * out.data))
-        if current == 0.0:
+        current = np.sum(data * data, axis=(-3, -2, -1))
+        if np.any(current == 0.0):
             raise ValueError("cannot rescale an all-zero coefficient table")
-        out.data *= np.sqrt(norm_sq / current)
-    return out
+        data *= np.sqrt(norm_sq / current)[:, None, None, None]
+    return data

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphere_poincare.eigensolver import block, gamma_numeric, min_eigenpair, numeric_minimizer
+from sphere_poincare.eigensolver import (
+    _smaller_eigenvalue,
+    block,
+    gamma_numeric,
+    min_eigenpair,
+    numeric_minimizer,
+)
 from sphere_poincare.sharp import equality_residual, gamma, gamma_plus
 from sphere_poincare.spectral import norm_sq
 
@@ -143,3 +149,49 @@ def test_minimizer_sign_agreement():
             u1, u2 = coeffs[(1, 1, j)], coeffs[(2, 1, j)]
             if abs(u1) > 1e-12 or abs(u2) > 1e-12:
                 assert u1 * u2 > 0.0
+
+
+def _per_degree_gamma_numeric(kappa, n_max):
+    """gamma_numeric as one block/min_eigenpair solve per degree."""
+    candidates = [(kappa + 2.0, (0, "scalar"))]
+    for n in range(1, n_max + 1):
+        blk = block(n, kappa)
+        value, _ = min_eigenpair(blk)
+        candidates.append((value, (n, "block")))
+        candidates.append((blk.u3_eigenvalue, (n, "u3")))
+    best = min(value for value, _ in candidates)
+    tol = 1e-12 * max(1.0, abs(best))
+    return best, tuple(channel for value, channel in candidates if value - best <= tol)
+
+
+# -4 ties the scalar with the degree-1 block; from about 1e10 the degree-1
+# block ties its u3 channel.
+_SWEEP = sorted({*np.linspace(-50.0, 50.0, 101).tolist(), -4.0, -3.9, 0.5, 17.0, 1e10, 1e13, 1e15, -1e15})
+# The lemma suite's two sweeps.
+_LEMMA_SWEEP = [*np.linspace(-50.0, 50.0, 201).tolist(), *np.linspace(-20.0, 20.0, 200).tolist()]
+
+
+def test_block_eigenvalues_of_all_degrees_are_min_eigenpair():
+    # (a - d)**2 on numpy scalars calls libm pow, which misrounds some
+    # squares; at these kappas that moves the degree-1 eigenvalue by a bit.
+    # The kernel's product rounds alike on scalars and arrays.
+    misrounded = [13.543, 19.179, 22.914, 26.543, 42.144, 46.511]
+    n = np.arange(1, 31)
+    nstar = (n * (n + 1)).astype(float)
+    for kappa in misrounded + _LEMMA_SWEEP + _SWEEP:
+        batched = _smaller_eigenvalue(nstar + 2.0 + kappa, -2.0 * np.sqrt(nstar), nstar)
+        expected = [min_eigenpair(block(int(k), kappa))[0] for k in n]
+        assert batched.tobytes() == np.array(expected).tobytes(), kappa
+
+
+@pytest.mark.parametrize("n_max", range(2, 31))
+def test_gamma_numeric_is_the_per_degree_sweep(n_max):
+    winners_seen = set()
+    for kappa in _SWEEP:
+        value, winners = gamma_numeric(kappa, n_max)
+        expected_value, expected_winners = _per_degree_gamma_numeric(kappa, n_max)
+        assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), kappa
+        assert winners == expected_winners, kappa
+        winners_seen.add(winners)
+    assert ((0, "scalar"), (1, "block")) in winners_seen
+    assert ((1, "block"), (1, "u3")) in winners_seen

@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -169,6 +172,47 @@ def test_tangent_frame_runs_once_per_grid(monkeypatch):
     )
     gradient_flow(u0, 1.0, dt=0.02, steps=3, band_limit=4)
     assert len(calls) == 1
+
+
+@contextlib.contextmanager
+def _no_cyclic_gc():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_grid_dies_with_its_last_reference():
+    from sphere_poincare.vsh import vector_basis
+
+    with _no_cyclic_gc():
+        grid = verification_grid(3)
+        vector_basis(grid, 3)
+        scalar_basis(grid, 4)
+        assert vector_basis(grid, 3).grid is grid
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+
+
+def test_cli_op_leaves_no_grid_alive(monkeypatch, capsys):
+    from sphere_poincare import cli
+    from sphere_poincare import grid as grid_module
+
+    made = []
+    init = grid_module.Grid.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(grid_module.Grid, "__init__", recording)
+    with _no_cyclic_gc():
+        assert cli.main(["verify", "--suite", "orthonormality"]) == 0
+        assert len(made) == 2
+        assert all(ref() is None for ref in made)
+    assert "result: PASS" in capsys.readouterr().out
 
 
 def test_scalar_analyze_delta():

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sphere_poincare.grid import normal_field, verification_grid
 from sphere_poincare.sharp import gamma, shifted_constant
+from sphere_poincare import spectral
 from sphere_poincare.spectral import (
     anisotropy_energy,
     anisotropy_energy_quadrature,
@@ -15,7 +18,7 @@ from sphere_poincare.spectral import (
     norm_sq,
     norm_sq_quadrature,
 )
-from sphere_poincare.vsh import CoeffSet, random_coeffs, synthesize
+from sphere_poincare.vsh import CoeffSet, _random_tables, random_coeffs, synthesize
 
 FOUR_PI = 4.0 * math.pi
 
@@ -171,3 +174,59 @@ def test_anisotropy_quadrature_matches_spectral(rng, grid4):
         rtol=0,
         atol=1e-10,
     )
+
+
+# One table at a time, summed over the whole (3, n+1, 2n+1) table.
+
+
+def _reference_dirichlet(data):
+    n = np.arange(data.shape[1], dtype=float)
+    nstar = (n * (n + 1.0))[:, None]
+    u1, u2, u3 = data
+    return float(
+        np.sum((nstar + 2.0) * u1 * u1 - 4.0 * np.sqrt(nstar) * u1 * u2 + nstar * (u2 * u2 + u3 * u3))
+    )
+
+
+def _reference_g_kappa(data, kappa):
+    n = np.arange(data.shape[1], dtype=float)
+    nstar = (n * (n + 1.0))[:, None]
+    u1, u2, u3 = data
+    return float(
+        np.sum((nstar - 2.0 + kappa) * u1 * u1 + (2.0 * u1 - np.sqrt(nstar) * u2) ** 2 + nstar * u3 * u3)
+    )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("band, count", [(0, 4), (1, 1), (4, 100), (6, 37), (9, 5)])
+def test_stacked_energy_kernels_are_the_per_table_functions(band, count):
+    stack = _random_tables(band, np.random.default_rng(band), count, norm_sq=FOUR_PI)
+    tables = [CoeffSet(band, data) for data in stack]
+    kernels = {
+        "dirichlet": (spectral._dirichlet(stack), [dirichlet_energy(c) for c in tables]),
+        "anisotropy": (spectral._anisotropy(stack), [anisotropy_energy(c) for c in tables]),
+        "g_kappa": (spectral._g_kappa(stack, -3.7), [g_kappa(c, -3.7) for c in tables]),
+        "norm_sq": (spectral._norm_sq(stack), [norm_sq(c) for c in tables]),
+    }
+    for name, (stacked, per_table) in kernels.items():
+        assert stacked.shape == (count,), name
+        assert _bits(stacked) == _bits(per_table), name
+    assert _bits(kernels["dirichlet"][1]) == _bits([_reference_dirichlet(d) for d in stack])
+    assert _bits(kernels["g_kappa"][1]) == _bits([_reference_g_kappa(d, -3.7) for d in stack])
+    assert _bits(kernels["anisotropy"][1]) == _bits([float(np.sum(d[0] * d[0])) for d in stack])
+    assert _bits(kernels["norm_sq"][1]) == _bits([float(np.sum(d * d)) for d in stack])
+
+
+def test_energy_reports_are_per_kappa_energy_reports(rng, grid4):
+    kappas = (-8.0, -4.0, 0.0, 6.0)
+    coeffs = random_coeffs(4, rng)
+    for subject, band_limit in ((synthesize(coeffs, grid4), 4), (coeffs, None)):
+        reports = spectral._energy_reports(subject, kappas, band_limit)
+        assert len(reports) == len(kappas)
+        for kappa, report in zip(kappas, reports):
+            expected = energy_report(subject, kappa, band_limit=band_limit)
+            assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(expected))
+            assert (report.quadrature is None) == (band_limit is None)

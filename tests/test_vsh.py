@@ -17,6 +17,8 @@ from sphere_poincare.grid import (
 from sphere_poincare.vsh import (
     CoeffSet,
     ModeIndex,
+    VectorBasis,
+    _random_tables,
     _valid_mask,
     analyze,
     eval_vsh,
@@ -170,6 +172,12 @@ def test_roundtrip_random_band4(grid4, rng):
         assert np.max(np.abs(back.data - coeffs.data)) < 1e-11
 
 
+def test_basis_outliving_its_grid_says_so():
+    basis = VectorBasis(verification_grid(1), 1)
+    with pytest.raises(ReferenceError, match="grid of this basis has been freed"):
+        basis.synthesize(CoeffSet(1))
+
+
 def test_analyze_underresolved_grid():
     grid = build_grid(4, 9)
     u = SampledVectorField(grid=grid, values=np.zeros((4, 9, 3)))
@@ -265,6 +273,35 @@ def test_random_coeffs_norm_and_families(rng):
     c = random_coeffs(4, rng, families=(2, 3), norm_sq=FOUR_PI)
     assert np.max(np.abs(c.data[0])) == 0.0
     assert_allclose(np.sum(c.data * c.data), FOUR_PI, rtol=1e-12)
+
+
+def _reference_random_coeffs(band_limit, rng, families=(1, 2, 3), norm_sq=None):
+    """One table at a time: fill the family rows of the mode set, then rescale."""
+    out = CoeffSet(band_limit)
+    mask = _reference_mask(band_limit)
+    for family in (1, 2, 3):
+        if family not in families:
+            mask[family - 1] = False
+    out.data[mask] = rng.standard_normal(int(mask.sum()))
+    if norm_sq is not None:
+        out.data *= np.sqrt(norm_sq / float(np.sum(out.data * out.data)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "band, count, families, norm_sq",
+    [(0, 3, (1, 2, 3), None), (4, 7, (1, 2, 3), None), (6, 100, (1, 2, 3), FOUR_PI),
+     (6, 13, (2, 3), FOUR_PI), (3, 5, (2, 3), None), (5, 1, (1,), 2.5)],
+)
+def test_random_tables_are_sequential_random_coeffs(band, count, families, norm_sq):
+    tables = _random_tables(band, np.random.default_rng(11), count, families, norm_sq)
+    rng = np.random.default_rng(11)
+    expected = [_reference_random_coeffs(band, rng, families, norm_sq).data for _ in range(count)]
+    assert tables.shape == (count, 3, band + 1, 2 * band + 1)
+    assert tables.tobytes() == np.stack(expected).tobytes()
+    rng = np.random.default_rng(11)
+    singles = [random_coeffs(band, rng, families, norm_sq).data for _ in range(count)]
+    assert np.stack(singles).tobytes() == tables.tobytes()
 
 
 # Per-mode reference implementations of the mode set and the table walks.

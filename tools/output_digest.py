@@ -1,0 +1,102 @@
+"""Hash every byte-contracted CLI output of this checkout.
+
+    python3 tools/output_digest.py > digest.txt
+
+Runs each command in-process, from this checkout's ``src/``, into a
+temporary directory, and prints one ``sha256  label`` line per output.
+JSON reports are hashed without ``wall_time_s`` and without the
+parameters that hold output paths, so the listing names no path.  Diff
+the listings of two commits to see whether a change kept every output's
+bytes.  The hashes depend on the host's BLAS and SIMD code paths, so
+compare listings made on one host only; this is why the tool is not
+part of the test suite.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from sphere_poincare import cli  # noqa: E402
+
+_PATH_PARAMETERS = ("coeffs_csv", "field_csv", "trajectory_csv")
+
+SUITES = ("orthonormality", "energy-routes", "inequality", "equality", "lemma")
+SEEDS = (0, 3, 2024)
+MINIMIZE_KAPPAS = ("-8", "-4", "-3.9", "0.5", "6", "17")
+FLOWS = {
+    # The three README examples (band 4 on the default 10 x 19 grid).
+    "flow-readme-returned": ["--kappa=-1", "--perturb", "0.05", "--dt", "0.02", "--steps", "2500"],
+    "flow-readme-escaped": ["--kappa=1"],
+    "flow-readme-stationary": ["--kappa=1", "--perturb", "0"],
+    # Band-8 probes on an 18 x 35 grid, t = 3 at dt = 0.5/(N(N+1)).
+    "flow-b8-kappa=-1.5": ["--kappa=-1.5", "--band", "8", "--grid", "18", "35",
+                           "--dt", repr(0.5 / 72), "--steps", "432"],
+    "flow-b8-kappa=1.2": ["--kappa=1.2", "--band", "8", "--grid", "18", "35",
+                          "--dt", repr(0.5 / 72), "--steps", "432"],
+}
+
+
+def _run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {rc}")
+    return out.getvalue()
+
+
+def _report(text: str) -> bytes:
+    report = json.loads(text)
+    report.pop("wall_time_s")
+    for key in _PATH_PARAMETERS:
+        report["parameters"].pop(key, None)
+    return json.dumps(report, indent=2).encode()
+
+
+def _file(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def outputs(workdir: str):
+    """(label, bytes) of every byte-contracted output, in a fixed order."""
+    yield "gamma-range-10-10-201", _run(["gamma", "--range", "-10", "10", "201"]).encode()
+    yield "gamma-kappa=-4", _run(["gamma", "--kappa=-4"]).encode()
+    for suite in SUITES:
+        for seed in SEEDS:
+            text = _run(["verify", "--suite", suite, "--seed", str(seed), "--json"])
+            yield f"verify-{suite}-seed={seed}", _report(text)
+    minimize = [[f"--kappa={k}", "--method", m] for k in MINIMIZE_KAPPAS for m in ("closed", "numeric")]
+    minimize.append(["--kappa=-4", "--c0", "1.5"])
+    for args in minimize:
+        label = "minimize " + " ".join(args)
+        prefix = os.path.join(workdir, "m")
+        text = _run(["minimize", *args, "--out", prefix, "--json"])
+        yield f"{label} report", _report(text)
+        yield f"{label} coeffs.csv", _file(f"{prefix}_coeffs.csv")
+        yield f"{label} field.csv", _file(f"{prefix}_field.csv")
+    for label, args in FLOWS.items():
+        path = os.path.join(workdir, "traj.csv")
+        text = _run(["flow", *args, "--out", path, "--json"])
+        yield f"{label} report", _report(text)
+        yield f"{label} trajectory.csv", _file(path)
+
+
+def main() -> int:
+    os.environ.pop("SPHERE_POINCARE_SEED", None)
+    with tempfile.TemporaryDirectory() as workdir:
+        listing = [f"{hashlib.sha256(data).hexdigest()}  {label}" for label, data in outputs(workdir)]
+    print("\n".join(listing))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
