@@ -103,6 +103,9 @@ def _emit(report: RunReport, as_json: bool, out_path=None) -> None:
     print(text)
 
 
+_MAX_RANGE_STEPS = 1_000_000  # gamma --range rows; the table is rendered in memory
+
+
 def cmd_gamma(args) -> int:
     if args.kappa is None and args.range is None:
         raise ValueError("provide --kappa or --range")
@@ -110,10 +113,11 @@ def cmd_gamma(args) -> int:
         kappas = [args.kappa]
     else:
         lo, hi, steps = args.range
-        steps = int(steps)
-        if steps < 1 or hi < lo:
+        if not (steps.is_integer() and 1 <= steps <= _MAX_RANGE_STEPS):
+            raise ValueError(f"--range STEPS must be an integer from 1 to {_MAX_RANGE_STEPS}")
+        if hi < lo:
             raise ValueError("bad range")
-        kappas = np.linspace(lo, hi, steps)
+        kappas = np.linspace(lo, hi, int(steps))
     # Rendered before --out is opened, so a bad weight leaves no file behind.
     table = io.StringIO()
     write_gamma_table(table, kappas)

@@ -77,14 +77,14 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
 
 
 # Flat-array kernels shared by the public diagnostics and the flow loop.
-# Arrays are (nodes, 3) field values and (modes, 3) scalar-route
-# coefficients; the normal (grid.frame[2]) and the weights are flattened by
-# the caller, which also computes the radial part u.n once per field.
+# Arrays are (nodes, 3) field values and (modes, 3) coefficients of the
+# node-major scalar basis transform; the caller flattens the normal
+# (grid.frame[2]) and the weights and computes u.n once per field.
 
 
 def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
     """Band-truncated -Laplacian node values from per-component coefficients."""
-    return basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+    return basis.synthesize(basis.eigenvalues[:, None] * coeffs)
 
 
 def _radial(values, normal) -> np.ndarray:
@@ -92,8 +92,7 @@ def _radial(values, normal) -> np.ndarray:
 
 
 def _energy(basis, coeffs, radial, weights, kappa: float) -> float:
-    dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
-    return dirichlet + kappa * float(np.sum(weights * radial * radial))
+    return basis.dirichlet(coeffs) + kappa * float(np.sum(weights * radial * radial))
 
 
 def _residual(values, lap, radial, normal, kappa: float) -> np.ndarray:
@@ -116,7 +115,7 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     basis = scalar_basis(u.grid, band_limit)
     values = u.values.reshape(-1, 3)
     normal = u.grid.frame[2].reshape(-1, 3)
-    lap = _laplacian(basis, basis.weighted_flat @ values)
+    lap = _laplacian(basis, basis.analyze(values))
     residual = _residual(values, lap, _radial(values, normal), normal, kappa)
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
@@ -147,7 +146,7 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
     values = u.values.reshape(-1, 3)
     return _energy(
         basis,
-        basis.weighted_flat @ values,
+        basis.analyze(values),
         _radial(values, u.grid.frame[2].reshape(-1, 3)),
         u.grid.weights.reshape(-1),
         kappa,
@@ -161,13 +160,10 @@ def distance_to_normals(u: SampledVectorField) -> tuple[float, float]:
 
 @dataclass
 class FlowState:
-    """Current flow iterate: unit field, weight, truncation, progress."""
+    """Final flow iterate: unit field and the number of steps taken."""
 
     field: SampledVectorField
-    kappa: float
-    band_limit: int
     step: int
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def gradient_flow(
     shape = u0.values.shape
 
     u = normalize_field(u0).values.reshape(-1, 3)
-    coeffs = basis.weighted_flat @ u
+    coeffs = basis.analyze(u)
     # One Laplacian and one radial part per accepted iterate serve its
     # energy, its record and the next step.
     lap = _laplacian(basis, coeffs)
@@ -259,9 +255,9 @@ def gradient_flow(
         grad -= np.sum(grad * u, axis=-1)[:, None] * u
         candidate = u - dt * grad
         # Galerkin projection onto the resolved band before renormalizing.
-        candidate = basis.matrix_flat.T @ (basis.weighted_flat @ candidate)
+        candidate = basis.synthesize(basis.analyze(candidate))
         candidate /= _norms(candidate)[:, None]
-        coeffs = basis.weighted_flat @ candidate
+        coeffs = basis.analyze(candidate)
         candidate_radial = _radial(candidate, normal)
         new_energy = _energy(basis, coeffs, candidate_radial, weights, kappa)
         if new_energy > energy + _ENERGY_INCREASE_TOL:
@@ -275,8 +271,7 @@ def gradient_flow(
             records.append(_record(step, step * dt, energy, u, lap, radial, normal, weights, kappa))
 
     final = SampledVectorField(grid=grid, values=u.reshape(shape))
-    state = FlowState(field=final, kappa=kappa, band_limit=band_limit, step=steps, energy=energy)
-    return FlowResult(kappa=kappa, dt=dt, band_limit=band_limit, records=records, state=state)
+    return FlowResult(kappa, dt, band_limit, records, FlowState(field=final, step=steps))
 
 
 def write_trajectory_csv(result: FlowResult, path) -> None:

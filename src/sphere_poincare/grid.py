@@ -184,9 +184,10 @@ def _require_resolution(grid: Grid, band_limit: int) -> None:
 class ScalarBasis:
     """Dense scalar spherical-harmonic transform for one grid and band limit.
 
-    Rows of ``matrix`` hold Y_{n,j} node values in (n, j) order; the
-    analysis/synthesis pair is exact for band-limited data on a
-    sufficiently resolved grid.
+    Rows of ``matrix`` hold Y_{n,j} node values in (n, j) order.  The
+    transforms are node-major: samples are (n_nodes,) or (n_nodes, k) in
+    t-major node order, coefficients (modes,) or (modes, k); the pair is
+    exact for band-limited data on a sufficiently resolved grid.
     """
 
     def __init__(self, grid: Grid, band_limit: int):
@@ -195,18 +196,20 @@ class ScalarBasis:
         self.degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
         self.matrix = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None])
         self.eigenvalues = np.array([n * (n + 1) for n, _ in self.degrees], dtype=float)
-        # Kept precomputed: the flow trajectory's bits depend on weighted_flat @ values.
-        self._weighted = self.matrix * grid.weights
-        # Flattened views used by hot loops (gradient flow).
-        self.matrix_flat = self.matrix.reshape(len(self.degrees), -1)
-        self.weighted_flat = self._weighted.reshape(len(self.degrees), -1)
+        # Kept precomputed: every analysis' bits depend on this table times the values.
+        self._weighted = np.multiply(self.matrix.reshape(len(self.degrees), -1), grid.weights.reshape(-1))
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients (u, Y_{n,j}) for the sampled values."""
-        return np.einsum("mij,ij->m", self._weighted, values)
+        """Coefficients (u, Y_{n,j}) of node-major samples."""
+        return self._weighted @ values
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("m,mij->ij", coeffs, self.matrix)
+        """Node-major samples of the coefficients."""
+        return self.matrix.reshape(len(self.degrees), -1).T @ coeffs
+
+    def dirichlet(self, coeffs: np.ndarray) -> float:
+        """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes, k)."""
+        return float(np.sum(self.eigenvalues[:, None] * coeffs * coeffs))
 
 
 def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:
@@ -220,7 +223,7 @@ def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:
 def scalar_analyze(f: SampledScalarField, band_limit: int) -> dict:
     """Scalar harmonic coefficients of f as a map (n, j) -> value."""
     basis = scalar_basis(f.grid, band_limit)
-    coeffs = basis.analyze(f.values)
+    coeffs = basis.analyze(f.values.reshape(-1))
     return {nj: float(c) for nj, c in zip(basis.degrees, coeffs)}
 
 
@@ -233,11 +236,7 @@ def dirichlet_energy_scalar_route(u: SampledVectorField, band_limit: int) -> flo
     relations, which makes it an independent oracle for them.
     """
     basis = scalar_basis(u.grid, band_limit)
-    total = 0.0
-    for k in range(3):
-        coeffs = basis.analyze(u.values[..., k])
-        total += float(np.sum(basis.eigenvalues * coeffs * coeffs))
-    return total
+    return basis.dirichlet(basis.analyze(u.values.reshape(-1, 3)))
 
 
 def export_vector_field_csv(field_data: SampledVectorField, path) -> None:

@@ -47,12 +47,18 @@ def assert_same_bytes(got, expected):
 @pytest.mark.parametrize("n_t, n_phi, band", GRID_CASES)
 def test_scalar_basis_bytes_match_reference(n_t, n_phi, band):
     grid = build_grid(n_t, n_phi)
+    rng = np.random.default_rng(band)
     # energy_report runs the scalar route one degree above the vector band.
     for b in (band, band + 1):
         basis = ScalarBasis(grid, b)
         expected = ref.scalar_matrix(grid, b)
         assert_same_bytes(basis.matrix, expected)
-        assert_same_bytes(basis.weighted_flat, (expected * grid.weights).reshape(len(expected), -1))
+        # The node-major transforms are the frozen table times the samples or coefficients.
+        values = rng.standard_normal((grid.n_nodes, 3))
+        coeffs = rng.standard_normal((len(expected), 3))
+        weighted = (expected * grid.weights).reshape(len(expected), -1)
+        assert_same_bytes(basis.analyze(values), weighted @ values)
+        assert_same_bytes(basis.synthesize(coeffs), expected.reshape(len(expected), -1).T @ coeffs)
 
 
 @pytest.mark.parametrize("n_t, n_phi, band", GRID_CASES)

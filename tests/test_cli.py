@@ -201,6 +201,8 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["minimize", "--kappa", "-8", "--sign", "nan", "--out", "{tmp}/m"], None),
         (["minimize", "--kappa", "6", "--tol", "nan", "--out", "{tmp}/m"], None),
         (["gamma", "--range", "0", "inf", "3"], None),
+        (["gamma", "--range", "0", "1", "1000001"], None),
+        (["gamma", "--range", "0", "1", "2.5"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):

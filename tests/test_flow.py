@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sphere_poincare import flow
 from sphere_poincare.flow import (
     FlowRecord,
     distance_to_normals,
@@ -18,6 +19,7 @@ from sphere_poincare.flow import (
 from sphere_poincare.grid import (
     SampledVectorField,
     build_grid,
+    dirichlet_energy_scalar_route,
     normal_field,
     scalar_basis,
     verification_grid,
@@ -224,9 +226,12 @@ def _reference_flow(u0, kappa, dt, steps, band_limit, record_every):
     shape = u0.values.shape
 
     u = normalize_field(u0).values.reshape(-1, 3)
+    # The basis keeps its flat tables private, so the reference builds its own.
+    matrix_flat = basis.matrix.reshape(len(basis.matrix), -1)
+    weighted_flat = (basis.matrix * grid.weights).reshape(len(basis.matrix), -1)
 
     def truncated_coeffs(values):
-        return basis.weighted_flat @ values
+        return weighted_flat @ values
 
     def energy_of(values, coeffs):
         dirichlet = float(np.sum(basis.eigenvalues[:, None] * coeffs * coeffs))
@@ -234,7 +239,7 @@ def _reference_flow(u0, kappa, dt, steps, band_limit, record_every):
         return dirichlet + kappa * float(np.sum(weights * radial * radial))
 
     def residual_max_of(values, coeffs):
-        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+        lap = matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
         radial = np.sum(values * normal, axis=-1)
         effective = lap + kappa * radial[:, None] * normal
         res = np.cross(values, effective)
@@ -251,12 +256,12 @@ def _reference_flow(u0, kappa, dt, steps, band_limit, record_every):
     records = [FlowRecord(0, 0.0, energy, *distances(u), residual_max_of(u, coeffs))]
 
     for step in range(1, steps + 1):
-        lap = basis.matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
+        lap = matrix_flat.T @ (basis.eigenvalues[:, None] * coeffs)
         radial = np.sum(u * normal, axis=-1)
         grad = 2.0 * lap + 2.0 * kappa * radial[:, None] * normal
         grad -= np.sum(grad * u, axis=-1)[:, None] * u
         candidate = u - dt * grad
-        candidate = basis.matrix_flat.T @ (basis.weighted_flat @ candidate)
+        candidate = matrix_flat.T @ (weighted_flat @ candidate)
         candidate /= np.sqrt(np.sum(candidate * candidate, axis=-1))[:, None]
         new_coeffs = truncated_coeffs(candidate)
         new_energy = energy_of(candidate, new_coeffs)
@@ -294,3 +299,51 @@ def test_diagnostics_match_flow_records():
         last.residual_max, rel=1e-12
     )
     assert saturated_energy(u, 1.0, 4) == last.energy
+
+
+def _unit_fields(grid, rng):
+    """The normal, a perturbed normal and three random unit fields."""
+    fields = [normal_field(grid), _perturbed_normal(grid, 0.05)]
+    for _ in range(3):
+        values = rng.standard_normal((grid.n_t, grid.n_phi, 3))
+        fields.append(normalize_field(SampledVectorField(grid=grid, values=values)))
+    return fields
+
+
+@pytest.mark.parametrize("band", [2, 4, 8])
+def test_saturated_energy_at_zero_kappa_is_the_scalar_route(band):
+    grid = verification_grid(band)
+    for u in _unit_fields(grid, np.random.default_rng(band)):
+        assert saturated_energy(u, 0.0, band) == dirichlet_energy_scalar_route(u, band)
+
+
+class _TransformOnly:
+    """A scalar basis seen only through the four names the flow may use."""
+
+    __slots__ = ("analyze", "synthesize", "eigenvalues", "dirichlet")
+
+    def __init__(self, basis):
+        self.analyze = basis.analyze
+        self.synthesize = basis.synthesize
+        self.eigenvalues = basis.eigenvalues
+        self.dirichlet = basis.dirichlet
+
+
+def _flow_outputs(u0, kappa, band):
+    result = gradient_flow(u0, kappa, 0.02, 60, band, record_every=7)
+    return (
+        result.records,
+        result.state.field.values.tobytes(),
+        el_residual(u0, kappa, band).values.tobytes(),
+        saturated_energy(u0, kappa, band),
+    )
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 1.0])
+def test_flow_needs_only_the_scalar_transform_interface(kappa, monkeypatch):
+    grid = verification_grid(4)
+    u0 = _perturbed_normal(grid, 0.05)
+    expected = _flow_outputs(u0, kappa, 4)
+    real = flow.scalar_basis
+    monkeypatch.setattr(flow, "scalar_basis", lambda g, band: _TransformOnly(real(g, band)))
+    assert _flow_outputs(u0, kappa, 4) == expected
