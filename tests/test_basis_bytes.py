@@ -58,6 +58,9 @@ def test_scalar_basis_bytes_match_reference(n_t, n_phi, band):
         coeffs = rng.standard_normal((len(expected), 3))
         weighted = (expected * grid.weights).reshape(len(expected), -1)
         assert_same_bytes(basis.analyze(values), weighted @ values)
+        # Times the identity is exact, so this pins the weighted table entry by entry.
+        identity = np.eye(grid.n_nodes)
+        assert_same_bytes(basis.analyze(identity), weighted @ identity)
         assert_same_bytes(basis.synthesize(coeffs), expected.reshape(len(expected), -1).T @ coeffs)
 
 

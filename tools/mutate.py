@@ -1,21 +1,21 @@
 """Mutation checks: each row of ``MUTANTS`` is a source edit that named tests must catch.
 
-    python3 tools/mutate.py              # every row
-    python3 tools/mutate.py flow grid    # rows whose name contains "flow" or "grid"
+    python3 tools/mutate.py
 
 A row is (name, file, exact snippet, replacement, tests).  For each row
 the tool copies ``src/``, ``tests/`` and ``pyproject.toml`` of this
 checkout into a temporary directory, replaces the snippet there (it must
 occur exactly once in the file) and runs the row's tests with pytest.
-The mutant is killed when they fail.  Before any mutant runs, the row
-tests run once on an unmutated copy and must pass, so a kill always
-means the edit was caught.
+The mutant is killed when a test fails (pytest exit 1).  Before any
+mutant runs, every row's tests run once on an unmutated copy and must
+pass, so a kill means a test caught the edit.  A mutant that breaks
+collection or the run itself (an import or syntax error: pytest exit 2
+or above) is an error, not a kill.
 
-Prints one line per row (killed, survived or no-match, and seconds) and
-exits nonzero if a mutant survives, a snippet does not occur exactly
-once, or the unmutated tests fail.  It takes about a minute, so it is
-not part of the test suite.  A change that fixes a subtle property adds
-the mutant that breaks it here.
+Prints one line per row (killed, survived, error or no-match, and
+seconds) and exits nonzero unless every row is killed.  It takes about
+40 s, so it is not part of the test suite.  A change that fixes a subtle
+property adds the mutant that breaks it here.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _matches(mutant: Mutant) -> int:
 
 
 def run(mutant: Mutant) -> str:
-    """'killed', 'survived' or 'error (exit N)' for one row."""
+    """'killed', 'survived' or 'error (...)' for one row."""
     with tempfile.TemporaryDirectory(prefix="mutate-") as root:
         _copy_tree(root)
         path = os.path.join(root, mutant.path)
@@ -220,18 +220,15 @@ def run(mutant: Mutant) -> str:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(source.replace(mutant.snippet, mutant.replacement))
         code = _pytest(root, mutant.tests)
-    # 1: tests failed; 2: the mutant broke collection (an import error, say).
-    if code in (1, 2):
+    if code == 1:
         return "killed"
-    return "survived" if code == 0 else f"error (exit {code})"
+    if code == 0:
+        return "survived"
+    return "error (collection)" if code == 2 else f"error (exit {code})"
 
 
-def main(argv: list[str]) -> int:
-    rows = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
-    if not rows:
-        print(f"no mutant name contains any of {argv}", file=sys.stderr)
-        return 2
-    tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutate-") as root:
         _copy_tree(root)
         code = _pytest(root, tests)
@@ -239,15 +236,15 @@ def main(argv: list[str]) -> int:
         print(f"the unmutated tests fail (pytest exit {code}); no mutant was run", file=sys.stderr)
         return 1
     failed = 0
-    for mutant in rows:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         count = _matches(mutant)
         outcome = run(mutant) if count == 1 else f"no-match ({count} occurrences)"
         failed += outcome != "killed"
         print(f"{outcome:<24} {time.perf_counter() - start:6.1f} s  {mutant.name}", flush=True)
-    print(f"{len(rows) - failed} of {len(rows)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
