@@ -23,6 +23,7 @@ from . import __version__
 from .eigensolver import numeric_minimizer
 from .flow import _unit_gap, gradient_flow, normalize_field, write_trajectory_csv
 from .grid import FOUR_PI, SampledVectorField, build_grid, export_vector_field_csv, normal_field
+from .legendre import MAX_DEGREE
 from .sharp import (
     build_minimizer,
     classify_regime,
@@ -104,6 +105,17 @@ def _emit(report: RunReport, as_json: bool, out_path=None) -> None:
 
 
 _MAX_RANGE_STEPS = 1_000_000  # gamma --range rows; the table is rendered in memory
+# --grid NT NPHI at most the size of verification_grid(MAX_DEGREE); the Gauss
+# nodes come from an NT x NT eigenproblem, so NT must stay small.
+_MAX_GRID_NT = 2 * MAX_DEGREE + 2
+_MAX_GRID_NPHI = 4 * MAX_DEGREE + 3
+
+
+def _grid(sizes):
+    n_t, n_phi = sizes
+    if n_t > _MAX_GRID_NT or n_phi > _MAX_GRID_NPHI:
+        raise ValueError(f"--grid NT NPHI must be at most {_MAX_GRID_NT} {_MAX_GRID_NPHI}")
+    return build_grid(n_t, n_phi)
 
 
 def cmd_gamma(args) -> int:
@@ -157,7 +169,7 @@ def cmd_minimize(args) -> int:
     numeric = numeric_minimizer(kappa)
     chosen = closed if args.method == "closed" else numeric
 
-    grid = build_grid(args.grid[0], args.grid[1])
+    grid = _grid(args.grid)
     field = synthesize(chosen, grid)
     coeff_path = f"{args.out}_coeffs.csv"
     field_path = f"{args.out}_field.csv"
@@ -201,7 +213,7 @@ def _flow_verdict(result) -> str:
 
 def cmd_flow(args) -> int:
     start = time.perf_counter()
-    grid = build_grid(args.grid[0], args.grid[1])
+    grid = _grid(args.grid)
     normal = normal_field(grid)
     mode = CoeffSet(1)
     mode[(2, 1, 0)] = math.sqrt(FOUR_PI)

@@ -22,6 +22,7 @@ import numpy as np
 from .grid import (
     FOUR_PI,
     SampledVectorField,
+    _dot3,
     dirichlet_energy_scalar_route,
     inner_product,
     scalar_basis,
@@ -46,7 +47,7 @@ _ENERGY_INCREASE_TOL = 1e-10
 
 
 def _norms(values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(values * values, axis=-1))
+    return np.sqrt(_dot3(values, values))
 
 
 def _unit_gap(values: np.ndarray) -> float:
@@ -70,7 +71,7 @@ def normalize_field(u: SampledVectorField) -> SampledVectorField:
 
 def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVectorField:
     """Pointwise projection of w onto the plane orthogonal to u."""
-    radial = np.sum(w.values * u.values, axis=-1)
+    radial = _dot3(w.values, u.values)
     return SampledVectorField(
         grid=u.grid, values=w.values - radial[..., None] * u.values
     )
@@ -82,28 +83,27 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
 # (grid.frame[2]) and the weights and computes u.n once per field.
 
 
-def _laplacian(basis, coeffs: np.ndarray) -> np.ndarray:
-    """Band-truncated -Laplacian node values from per-component coefficients."""
-    return basis.synthesize(basis.eigenvalues[:, None] * coeffs)
-
-
-def _radial(values, normal) -> np.ndarray:
-    return np.sum(values * normal, axis=-1)
-
-
 def _energy(basis, coeffs, radial, weights, kappa: float) -> float:
     return basis.dirichlet(coeffs) + kappa * float(np.sum(weights * radial * radial))
 
 
-def _residual(values, lap, radial, normal, kappa: float) -> np.ndarray:
-    """values x (lap + kappa (u.n) n), written out as np.cross computes it."""
-    force = lap + kappa * radial[:, None] * normal
-    return values[:, [1, 2, 0]] * force[:, [2, 0, 1]] - values[:, [2, 0, 1]] * force[:, [1, 2, 0]]
+def _force(basis, coeffs, radial, normal, kappa: float) -> np.ndarray:
+    """Half the energy gradient: -lap u + kappa (u.n) n, the Laplacian band-truncated."""
+    lap = basis.synthesize(basis.eigenvalues[:, None] * coeffs)
+    return lap + kappa * radial[:, None] * normal
+
+
+def _cross_columns(values, force) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of values x force, each with the products np.cross forms."""
+    v0, v1, v2 = values[:, 0], values[:, 1], values[:, 2]
+    f0, f1, f2 = force[:, 0], force[:, 1], force[:, 2]
+    return v1 * f2 - v2 * f1, v2 * f0 - v0 * f2, v0 * f1 - v1 * f0
 
 
 def _distances(values, normal, weights) -> tuple[float, float]:
-    d_plus = math.sqrt(float(np.sum(weights * np.sum((values - normal) ** 2, axis=-1))))
-    d_minus = math.sqrt(float(np.sum(weights * np.sum((values + normal) ** 2, axis=-1))))
+    plus, minus = values - normal, values + normal
+    d_plus = math.sqrt(float(np.sum(weights * _dot3(plus, plus))))
+    d_minus = math.sqrt(float(np.sum(weights * _dot3(minus, minus))))
     scale = math.sqrt(FOUR_PI)
     return d_plus / scale, d_minus / scale
 
@@ -115,8 +115,8 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     basis = scalar_basis(u.grid, band_limit)
     values = u.values.reshape(-1, 3)
     normal = u.grid.frame[2].reshape(-1, 3)
-    lap = _laplacian(basis, basis.analyze(values))
-    residual = _residual(values, lap, _radial(values, normal), normal, kappa)
+    force = _force(basis, basis.analyze(values), _dot3(values, normal), normal, kappa)
+    residual = np.stack(_cross_columns(values, force), axis=-1)
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
 
@@ -130,7 +130,7 @@ def second_variation_normal(
     Dirichlet energy.  Negative values certify instability.
     """
     normal = v.grid.frame[2]
-    radial_gap = float(np.max(np.abs(np.sum(v.values * normal, axis=-1))))
+    radial_gap = float(np.max(np.abs(_dot3(v.values, normal))))
     if radial_gap > 1e-10:
         raise ValueError(f"perturbation is not tangential (max |v.n| = {radial_gap:.3e})")
     if band_limit is None:
@@ -147,7 +147,7 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
     return _energy(
         basis,
         basis.analyze(values),
-        _radial(values, u.grid.frame[2].reshape(-1, 3)),
+        _dot3(values, u.grid.frame[2].reshape(-1, 3)),
         u.grid.weights.reshape(-1),
         kappa,
     )
@@ -194,9 +194,11 @@ class FlowResult:
         return max(min(r.dist_plus, r.dist_minus) for r in self.records)
 
 
-def _record(step, time, energy, values, lap, radial, normal, weights, kappa) -> FlowRecord:
-    """Trajectory row of an accepted iterate, given its Laplacian and radial part."""
-    residual_max = float(np.max(_norms(_residual(values, lap, radial, normal, kappa))))
+def _record(step, time, energy, values, force, normal, weights) -> FlowRecord:
+    """Trajectory row of an accepted iterate, given its force."""
+    r0, r1, r2 = _cross_columns(values, force)
+    # Squares are never -0.0, so this sum needs no + 0.0 to be np.sum's.
+    residual_max = float(np.max(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)))
     return FlowRecord(step, time, energy, *_distances(values, normal, weights), residual_max)
 
 
@@ -243,32 +245,32 @@ def gradient_flow(
 
     u = normalize_field(u0).values.reshape(-1, 3)
     coeffs = basis.analyze(u)
-    # One Laplacian and one radial part per accepted iterate serve its
-    # energy, its record and the next step.
-    lap = _laplacian(basis, coeffs)
-    radial = _radial(u, normal)
+    radial = _dot3(u, normal)
     energy = _energy(basis, coeffs, radial, weights, kappa)
+    # One force per accepted iterate serves its record and the next step;
+    # the gradient is exactly twice it, as scaling by 2 is exact.
+    force = _force(basis, coeffs, radial, normal, kappa)
 
-    records = [_record(0, 0.0, energy, u, lap, radial, normal, weights, kappa)]
+    records = [_record(0, 0.0, energy, u, force, normal, weights)]
     for step in range(1, steps + 1):
-        grad = 2.0 * lap + 2.0 * kappa * radial[:, None] * normal
-        grad -= np.sum(grad * u, axis=-1)[:, None] * u
+        grad = 2.0 * force
+        grad -= _dot3(grad, u)[:, None] * u
         candidate = u - dt * grad
         # Galerkin projection onto the resolved band before renormalizing.
         candidate = basis.synthesize(basis.analyze(candidate))
         candidate /= _norms(candidate)[:, None]
         coeffs = basis.analyze(candidate)
-        candidate_radial = _radial(candidate, normal)
-        new_energy = _energy(basis, coeffs, candidate_radial, weights, kappa)
+        radial = _dot3(candidate, normal)
+        new_energy = _energy(basis, coeffs, radial, weights, kappa)
         if new_energy > energy + _ENERGY_INCREASE_TOL:
             raise RuntimeError(
                 f"energy increased by {new_energy - energy:.3e} at step {step}; "
                 "dt too large for this band limit"
             )
-        u, radial, energy = candidate, candidate_radial, new_energy
-        lap = _laplacian(basis, coeffs)
+        u, energy = candidate, new_energy
+        force = _force(basis, coeffs, radial, normal, kappa)
         if step % record_every == 0 or step == steps:
-            records.append(_record(step, step * dt, energy, u, lap, radial, normal, weights, kappa))
+            records.append(_record(step, step * dt, energy, u, force, normal, weights))
 
     final = SampledVectorField(grid=grid, values=u.reshape(shape))
     return FlowResult(kappa, dt, band_limit, records, FlowState(field=final, step=steps))

@@ -23,6 +23,7 @@ import numpy as np
 from .grid import (
     SampledScalarField,
     SampledVectorField,
+    _dot3,
     dirichlet_energy_scalar_route,
     inner_product,
     integrate,
@@ -97,7 +98,7 @@ def norm_sq(coeffs: CoeffSet) -> float:
 def anisotropy_energy_quadrature(u: SampledVectorField) -> float:
     """Quadrature-route integral of (u . normal)^2."""
     normal = normal_field(u.grid)
-    radial = np.sum(u.values * normal.values, axis=-1)
+    radial = _dot3(u.values, normal.values)
     return integrate(SampledScalarField(grid=u.grid, values=radial * radial))
 
 

@@ -203,6 +203,8 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["gamma", "--range", "0", "inf", "3"], None),
         (["gamma", "--range", "0", "1", "1000001"], None),
         (["gamma", "--range", "0", "1", "2.5"], None),
+        (["minimize", "--kappa", "1", "--grid", "131", "16", "--out", "{tmp}/m"], None),
+        (["flow", "--kappa", "1", "--steps", "1", "--grid", "10", "260", "--out", "{tmp}/t.csv"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
@@ -215,3 +217,8 @@ def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkey
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_caps_are_accepted(tmp_path):
+    argv = ["flow", "--kappa", "1", "--steps", "1", "--grid", "130", "259", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0

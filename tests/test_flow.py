@@ -287,6 +287,19 @@ def test_flow_matches_reference_loop_bitwise(kappa, band, dt, steps, record_ever
     assert np.array_equal(result.state.field.values, final)
 
 
+@pytest.mark.parametrize("kappa", [-1.5, 0.0, 1.2])
+def test_el_residual_is_the_cross_product_bitwise(kappa):
+    grid = verification_grid(4)
+    basis = scalar_basis(grid, 4)
+    normal = normal_field(grid).values.reshape(-1, 3)
+    for u in _unit_fields(grid, np.random.default_rng(7)):
+        values = u.values.reshape(-1, 3)
+        lap = basis.synthesize(basis.eigenvalues[:, None] * basis.analyze(values))
+        radial = np.sum(values * normal, axis=-1)
+        expected = np.cross(values, lap + kappa * radial[:, None] * normal)
+        assert el_residual(u, kappa, 4).values.tobytes() == expected.reshape(u.values.shape).tobytes()
+
+
 def test_diagnostics_match_flow_records():
     grid = verification_grid(4)
     u0 = _perturbed_normal(grid, 0.05)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from sphere_poincare.grid import (
     SampledScalarField,
     SampledVectorField,
+    _dot3,
     build_grid,
     dirichlet_energy_scalar_route,
     export_vector_field_csv,
@@ -24,6 +25,26 @@ from sphere_poincare.grid import (
 from sphere_poincare.legendre import scalar_sh
 
 FOUR_PI = 4.0 * math.pi
+
+
+@pytest.mark.parametrize("shape", [(500, 3), (18, 35, 3)])
+def test_dot3_bytes_are_the_summed_products(shape):
+    rng = np.random.default_rng(len(shape))
+    pool = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+    a, b = rng.standard_normal((2,) + shape)
+    special = rng.random((2,) + shape) < 0.3
+    a[special[0]] = rng.choice(pool, int(special[0].sum()))
+    b[special[1]] = rng.choice(pool, int(special[1].sum()))
+    # Rows whose three products are all -0.0, where a plain sum of the
+    # products would give -0.0 and np.sum gives +0.0.
+    a.reshape(-1, 3)[:4] = [[-0.0, 0.0, 1.0], [0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [2.0, -0.0, 0.0]]
+    b.reshape(-1, 3)[:4] = [[1.0, -3.0, -0.0], [-0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 1.0, -1.0]]
+    with np.errstate(invalid="ignore"):
+        expected = np.sum(a * b, axis=-1)
+        got = _dot3(a, b)
+    assert np.signbit(expected.reshape(-1)[:4]).sum() == 0
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_single_node_grid():

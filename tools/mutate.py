@@ -81,6 +81,13 @@ MUTANTS = (
         "if not 1 <= steps <= _MAX_RANGE_STEPS:",
         ("tests/test_cli.py::test_bad_input_gives_one_line_error",),
     ),
+    Mutant(
+        "cli: --grid NPHI uncapped",
+        "src/sphere_poincare/cli.py",
+        "if n_t > _MAX_GRID_NT or n_phi > _MAX_GRID_NPHI:",
+        "if n_t > _MAX_GRID_NT:",
+        ("tests/test_cli.py::test_bad_input_gives_one_line_error",),
+    ),
     # Batched oracles and grid lifetimes.
     Mutant(
         "spectral: _dirichlet sums rows first",
@@ -157,15 +164,44 @@ MUTANTS = (
     Mutant(
         "flow: perturbed cross product",
         "src/sphere_poincare/flow.py",
-        "- values[:, [2, 0, 1]] * force[:, [1, 2, 0]]",
-        "+ values[:, [2, 0, 1]] * force[:, [1, 2, 0]]",
+        "return v1 * f2 - v2 * f1, v2 * f0 - v0 * f2, v0 * f1 - v1 * f0",
+        "return v1 * f2 + v2 * f1, v2 * f0 + v0 * f2, v0 * f1 + v1 * f0",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
         "flow: stale radial part after a step",
         "src/sphere_poincare/flow.py",
-        "u, radial, energy = candidate, candidate_radial, new_energy",
-        "u, energy = candidate, new_energy",
+        "radial = _dot3(candidate, normal)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa)",
+        "new_energy = _energy(basis, coeffs, _dot3(candidate, normal), weights, kappa)",
+        (_REFERENCE_FLOW,),
+    ),
+    # The lean flow step.
+    Mutant(
+        "grid: _dot3 without + 0.0",
+        "src/sphere_poincare/grid.py",
+        "return p[..., 0] + p[..., 1] + p[..., 2] + 0.0",
+        "return p[..., 0] + p[..., 1] + p[..., 2]",
+        ("tests/test_grid.py::test_dot3_bytes_are_the_summed_products",),
+    ),
+    Mutant(
+        "flow: grad = force",
+        "src/sphere_poincare/flow.py",
+        "grad = 2.0 * force",
+        "grad = force",
+        (_REFERENCE_FLOW,),
+    ),
+    Mutant(
+        "flow: one residual column with its factors swapped",
+        "src/sphere_poincare/flow.py",
+        "v2 * f0 - v0 * f2",
+        "v0 * f2 - v2 * f0",
+        ("tests/test_flow.py::test_el_residual_is_the_cross_product_bitwise",),
+    ),
+    Mutant(
+        "flow: _distances uses values - normal twice",
+        "src/sphere_poincare/flow.py",
+        "plus, minus = values - normal, values + normal",
+        "plus, minus = values - normal, values - normal",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
