@@ -52,7 +52,9 @@ class RunReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
+        """Largest check residual; NaN when any residual is NaN, which max() would drop."""
+        residuals = [c.residual for c in self.checks]
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

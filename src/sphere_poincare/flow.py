@@ -220,7 +220,7 @@ def gradient_flow(
     roundoff noise in that complement grows at rate -(kappa + 2) and
     destroys the probe for kappa > -2.  The step size must sit below the
     spectral stability bound 1/(N(N+1)); an energy increase beyond
-    tolerance aborts with a diagnostic.
+    tolerance, or a non-finite energy, aborts with a diagnostic.
     """
     _require_unit(u0)
     if steps < 1:
@@ -262,7 +262,9 @@ def gradient_flow(
         coeffs = basis.analyze(candidate)
         radial = _dot3(candidate, normal)
         new_energy = _energy(basis, coeffs, radial, weights, kappa)
-        if new_energy > energy + _ENERGY_INCREASE_TOL:
+        if not new_energy <= energy + _ENERGY_INCREASE_TOL:  # a NaN energy aborts too
+            if not math.isfinite(new_energy):
+                raise RuntimeError(f"energy is {new_energy} at step {step}; the iterate is no longer finite")
             raise RuntimeError(
                 f"energy increased by {new_energy - energy:.3e} at step {step}; "
                 "dt too large for this band limit"

@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import Grid, SampledVectorField, _require_resolution, _same_grid, tangent_frame
-from .legendre import MAX_DEGREE, _legendre_tables, _sh_mode, _sh_rows
+from .grid import Grid, SampledVectorField, _dot3, _require_resolution, _same_grid, tangent_frame
+from .legendre import MAX_DEGREE, _legendre_tables, _sh_mode, _sh_rows, scalar_sh_table
 
 __all__ = [
     "ModeIndex",
@@ -34,6 +34,10 @@ __all__ = [
     "analyze",
     "random_coeffs",
 ]
+
+# Bands up to this one contract the dense per-mode table, to whose bytes the
+# small-band outputs are pinned; bands above it use the frame components.
+_DENSE_MAX_BAND = 8
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,14 @@ def _unit_direction(direction) -> np.ndarray:
 class VectorBasis:
     """All vector harmonics up to a band limit evaluated on one grid.
 
+    Up to band ``_DENSE_MAX_BAND`` the transforms contract ``matrix``, the
+    (modes, n_t, n_phi, 3) node values of every mode.  Above it they
+    contract the frame components with three (n, j)-ordered scalar tables
+    of shape ((N+1)^2, nodes): Y, A = (dY/dphi) / s / sqrt(n(n+1)) and
+    B = s (dY/dt) / sqrt(n(n+1)), s = sqrt(1 - t^2), so that
+    y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  There ``matrix`` is
+    built only when read, as a dense oracle.
+
     The basis refers to its grid weakly: the grid caches its bases, so a
     strong reference back would keep both alive until the cyclic
     garbage collector runs.
@@ -257,16 +269,39 @@ class VectorBasis:
         self._grid = weakref.ref(grid)
         self.band_limit = band_limit
         self.modes = mode_list(band_limit)
-        self.matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
+        if band_limit <= _DENSE_MAX_BAND:
+            self.matrix  # built now: the transforms contract it
+            return
+        y, a, b = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
+        s = np.sqrt(1.0 - grid.t * grid.t)[:, None]
+        n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+        scale = np.zeros(n.size)  # rows of A and B at n = 0 are zero
+        scale[1:] = 1.0 / np.sqrt(n[1:] * (n[1:] + 1.0))
+        a /= s
+        a *= scale[:, None, None]
+        b *= s
+        b *= scale[:, None, None]
+        self._y, self._a, self._b = y, a, b
+
+    def _frame_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Y, A and B as ((N+1)^2, nodes) views."""
+        return tuple(table.reshape(len(table), -1) for table in (self._y, self._a, self._b))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Every mode's node values, (modes, n_t, n_phi, 3), in canonical mode order."""
+        grid = self.grid
+        matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
         index = {(mode.family, mode.n, mode.j): k for k, mode in enumerate(self.modes)}
-        tables = _legendre_tables(band_limit, grid.t[:, None], grad=True)
+        tables = _legendre_tables(self.band_limit, grid.t[:, None], grad=True)
         # One scalar harmonic's rows serve the (up to three) family rows of its (n, j).
-        for n in range(band_limit + 1):
+        for n in range(self.band_limit + 1):
             for j in range(-n, n + 1):
                 rows = _sh_rows(n, j, grid.phi[None, :], *tables)
                 for family in (1, 2, 3) if n else (1,):
                     mode = ModeIndex(family, n, j)
-                    self.matrix[index[family, n, j]] = _mode_field(mode, grid.frame, *rows)
+                    matrix[index[family, n, j]] = _mode_field(mode, grid.frame, *rows)
+        return matrix
 
     @property
     def grid(self) -> Grid:
@@ -278,15 +313,35 @@ class VectorBasis:
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:
             coeffs = coeffs.with_band_limit(self.band_limit)
-        values = np.einsum("m,mijk->ijk", coeffs.as_vector(), self.matrix)
-        return SampledVectorField(grid=self.grid, values=values)
+        grid = self.grid
+        if self.band_limit <= _DENSE_MAX_BAND:
+            values = np.einsum("m,mijk->ijk", coeffs.as_vector(), self.matrix)
+            return SampledVectorField(grid=grid, values=values)
+        # (3, (N+1)^2) in (n, j) order; families 2 and 3 hold zero at n = 0.
+        c = coeffs.data[:, _valid_mask(self.band_limit)[0]]
+        y, a, b = self._frame_tables()
+        u_n, a_c, b_c = y.T @ c[0], a.T @ c[1:].T, b.T @ c[1:].T
+        u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]
+        eps_phi, eps_t, normal = grid.frame
+        shape = (grid.n_t, grid.n_phi, 1)
+        values = u_n.reshape(shape) * normal + u_phi.reshape(shape) * eps_phi + u_t.reshape(shape) * eps_t
+        return SampledVectorField(grid=grid, values=values)
 
     def analyze(self, u: SampledVectorField) -> CoeffSet:
         # Products of two band-N vector harmonics have scalar degree 2N + 2.
         _require_resolution(self.grid, self.band_limit + 1)
         _same_grid(u, self)
-        vec = np.einsum("mijk,ijk->m", self.matrix, u.values * self.grid.weights[..., None])
-        return CoeffSet.from_vector(self.band_limit, vec)
+        weighted = u.values * self.grid.weights[..., None]
+        if self.band_limit <= _DENSE_MAX_BAND:
+            vec = np.einsum("mijk,ijk->m", self.matrix, weighted)
+            return CoeffSet.from_vector(self.band_limit, vec)
+        eps_phi, eps_t, normal = self.grid.frame
+        tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)], axis=1)
+        y, a, b = self._frame_tables()
+        c1 = y @ _dot3(weighted, normal).reshape(-1)
+        a_u, b_u = a @ tangential, b @ tangential
+        c2, c3 = a_u[:, 0] + b_u[:, 1], a_u[:, 1] - b_u[:, 0]
+        return CoeffSet.from_vector(self.band_limit, np.concatenate((c1, c2[1:], c3[1:])))
 
 
 def vector_basis(grid: Grid, band_limit: int) -> VectorBasis:

@@ -11,8 +11,8 @@ import pytest
 
 import reference_basis as ref
 from sphere_poincare import legendre
-from sphere_poincare.grid import ScalarBasis, build_grid
-from sphere_poincare.vsh import VectorBasis, eval_vsh, mode_list
+from sphere_poincare.grid import SampledVectorField, ScalarBasis, build_grid
+from sphere_poincare.vsh import VectorBasis, eval_vsh, mode_list, random_coeffs
 
 # (n_t, n_phi, band): verification_grid(b) for b = 0..8, then the CLI grids.
 GRID_CASES = [(2 * b + 2, 4 * b + 3, b) for b in range(9)] + [
@@ -68,6 +68,22 @@ def test_scalar_basis_bytes_match_reference(n_t, n_phi, band):
 def test_vector_basis_bytes_match_reference(n_t, n_phi, band):
     grid = build_grid(n_t, n_phi)
     assert_same_bytes(VectorBasis(grid, band).matrix, ref.vector_matrix(grid, band))
+
+
+@pytest.mark.parametrize("n_t, n_phi, band", GRID_CASES)
+def test_vector_transforms_bytes_are_the_dense_einsums(n_t, n_phi, band):
+    # Every byte-contracted output runs at band <= 8, where the transforms must
+    # stay the einsums on the frozen table; a lower crossover fails here.
+    grid = build_grid(n_t, n_phi)
+    basis = VectorBasis(grid, band)
+    expected = ref.vector_matrix(grid, band)
+    rng = np.random.default_rng(band)
+    coeffs = random_coeffs(band, rng)
+    values = rng.standard_normal((n_t, n_phi, 3))
+    synthesized = basis.synthesize(coeffs).values
+    assert_same_bytes(synthesized, np.einsum("m,mijk->ijk", coeffs.as_vector(), expected))
+    analyzed = basis.analyze(SampledVectorField(grid=grid, values=values)).as_vector()
+    assert_same_bytes(analyzed, np.einsum("mijk,ijk->m", expected, values * grid.weights[..., None]))
 
 
 def _off_grid_mesh():

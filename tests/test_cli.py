@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphere_poincare.cli import main
+from sphere_poincare.cli import RunReport, main
+from sphere_poincare.suites import Check
 
 FOUR_PI = 4.0 * math.pi
 
@@ -217,6 +218,27 @@ def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkey
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_flow_with_a_non_finite_energy_exits_2_without_a_trajectory(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["flow", "--kappa=1e200", "--steps", "2", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: energy is nan at step 2")
+    assert not out.exists()
+
+
+def test_max_residual_keeps_a_nan():
+    report = RunReport("c", {}, [Check("a", 0.0, 1.0), Check("b", math.nan, 1.0)], 0.0)
+    assert math.isnan(report.max_residual)
+    assert "max residual: nan" in report.to_text()
+    assert math.isnan(json.loads(report.to_json())["max_residual"])
+    finite = RunReport("c", {}, [Check("a", 0.5, 1.0), Check("b", 2.0, 1.0)], 0.0)
+    assert finite.max_residual == 2.0
+    assert RunReport("c", {}, [], 0.0).max_residual == 0.0
 
 
 def test_grid_caps_are_accepted(tmp_path):

@@ -195,6 +195,22 @@ def test_flow_rejects_non_finite_input(kappa, values):
         gradient_flow(u0, kappa=kappa, dt=0.01, steps=10, band_limit=4)
 
 
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        (1e17, "energy increased by .* at step 2; dt too large"),
+        # The iterate overflows; NaN compares false with any energy bound.
+        (1e200, "energy is nan at step 2;"),
+        (1e308, "energy is nan at step 1;"),
+    ],
+)
+def test_flow_aborts_on_a_rising_or_non_finite_energy(kappa, message):
+    u0 = _perturbed_normal(build_grid(10, 19), 0.05)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="^" + message):
+            gradient_flow(u0, kappa=kappa, dt=0.02, steps=2, band_limit=4)
+
+
 def test_distance_to_normals():
     grid = build_grid(6, 13)
     n = normal_field(grid)

@@ -185,6 +185,54 @@ def test_analyze_underresolved_grid():
         analyze(u, 4)
 
 
+# Above band 8 the transforms run on frame components against scalar tables.
+FRAME_CASES = [(b, None) for b in (9, 10, 11, 12, 20)] + [(12, (30, 61))]
+
+
+@pytest.mark.parametrize("band, size", FRAME_CASES)
+def test_frame_route_matches_the_dense_table(band, size):
+    grid = verification_grid(band) if size is None else build_grid(*size)
+    basis = VectorBasis(grid, band)
+    rng = np.random.default_rng(band)
+    coeffs = random_coeffs(band, rng)
+    values = rng.standard_normal((grid.n_t, grid.n_phi, 3))
+    field = basis.synthesize(coeffs)
+    back = basis.analyze(SampledVectorField(grid=grid, values=values))
+    assert "matrix" not in vars(basis)
+    dense = basis.matrix
+    assert "matrix" in vars(basis)
+    assert_allclose(field.values, np.einsum("m,mijk->ijk", coeffs.as_vector(), dense), rtol=0, atol=1e-13)
+    weighted = values * grid.weights[..., None]
+    assert_allclose(back.as_vector(), np.einsum("mijk,ijk->m", dense, weighted), rtol=0, atol=1e-13)
+
+
+def test_dense_table_above_the_crossover_is_built_on_demand_from_the_reference():
+    grid = verification_grid(9)
+    basis = VectorBasis(grid, 9)
+    assert "matrix" not in vars(basis)
+    assert basis.matrix.tobytes() == reference_basis.vector_matrix(grid, 9).tobytes()
+    assert "matrix" in vars(VectorBasis(grid, 8))
+
+
+def test_frame_route_roundtrip_band24(rng):
+    grid = verification_grid(24)
+    basis = VectorBasis(grid, 24)
+    for _ in range(3):
+        coeffs = random_coeffs(24, rng)
+        back = basis.analyze(basis.synthesize(coeffs))
+        assert np.max(np.abs(back.data - coeffs.data)) < 1e-11
+    assert "matrix" not in vars(basis)
+
+
+def test_frame_route_rejects_an_underresolved_grid():
+    with pytest.raises(ValueError, match="does not resolve"):
+        VectorBasis(build_grid(9, 19), 9)
+    grid = build_grid(10, 19)  # resolves band 9, not the band 10 of its products
+    basis = VectorBasis(grid, 9)
+    with pytest.raises(ValueError, match="does not resolve"):
+        basis.analyze(SampledVectorField(grid=grid, values=np.zeros((10, 19, 3))))
+
+
 def test_block_relations_by_polarization():
     # Dirichlet forms of the three families against the scalar route:
     # D(y1) = n*+2, D(y2) = D(y3) = n*, cross term <y1, y2> = -2 sqrt(n*).

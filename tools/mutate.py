@@ -14,7 +14,7 @@ or above) is an error, not a kill.
 
 Prints one line per row (killed, survived, error or no-match, and
 seconds) and exits nonzero unless every row is killed.  It takes about
-40 s, so it is not part of the test suite.  A change that fixes a subtle
+a minute, so it is not part of the test suite.  A change that fixes a subtle
 property adds the mutant that breaks it here.
 """
 
@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 _BASIS_BYTES = "tests/test_basis_bytes.py"
 _REFERENCE_FLOW = "tests/test_flow.py::test_flow_matches_reference_loop_bitwise"
+_FRAME_ROUTE = "tests/test_vsh.py::test_frame_route_matches_the_dense_table"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -210,6 +211,35 @@ MUTANTS = (
         "for family in (1, 2, 3) if n else (1,):",
         "for family in (1, 2, 3) if n > 1 else (1,):",
         (_BASIS_BYTES + "::test_vector_basis_bytes_match_reference",),
+    ),
+    # The frame-component vector transform above the crossover band.
+    Mutant(
+        "vsh: c3 with the sign of B u_phi flipped",
+        "src/sphere_poincare/vsh.py",
+        "a_u[:, 1] - b_u[:, 0]",
+        "a_u[:, 1] + b_u[:, 0]",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: tables A and B swapped",
+        "src/sphere_poincare/vsh.py",
+        "self._y, self._a, self._b = y, a, b",
+        "self._y, self._a, self._b = y, b, a",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: table B without 1/sqrt(n(n+1))",
+        "src/sphere_poincare/vsh.py",
+        "        b *= scale[:, None, None]\n",
+        "",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: crossover band 0",
+        "src/sphere_poincare/vsh.py",
+        "_DENSE_MAX_BAND = 8",
+        "_DENSE_MAX_BAND = 0",
+        (_BASIS_BYTES + "::test_vector_transforms_bytes_are_the_dense_einsums",),
     ),
     Mutant(
         "suites: 900 instead of 1000 g-kappa draws",
