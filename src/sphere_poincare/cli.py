@@ -9,6 +9,7 @@ The environment variable SPHERE_POINCARE_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -264,7 +265,13 @@ def cmd_flow(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call.
+
+    ``parse_args`` gives each call a fresh namespace and every default is
+    immutable, so calls share no state; callers must not alter the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="sphere-poincare",
         description="Sharp Poincare-type inequality on the sphere: tables, "

@@ -13,6 +13,7 @@ check used against the sequence-space energy identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -251,14 +252,13 @@ def dirichlet_energy_scalar_route(u: SampledVectorField, band_limit: int) -> flo
 
 
 def export_vector_field_csv(field_data: SampledVectorField, path) -> None:
-    """Write node samples as CSV (phi,t,ux,uy,uz), t-major row order."""
+    """Write node samples as CSV (phi,t,ux,uy,uz), t-major row order.
+
+    Each number is the ``repr`` of a Python float, which reads back exactly.
+    """
     grid = field_data.grid
+    nodes = itertools.product(map(repr, grid.t.tolist()), map(repr, grid.phi.tolist()))
+    values = np.asarray(field_data.values, dtype=float).reshape(-1, 3).tolist()
+    rows = "".join(f"{p},{t},{ux!r},{uy!r},{uz!r}\n" for (t, p), (ux, uy, uz) in zip(nodes, values))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("phi,t,ux,uy,uz\n")
-        for a in range(grid.n_t):
-            for b in range(grid.n_phi):
-                ux, uy, uz = field_data.values[a, b]
-                fh.write(
-                    f"{float(grid.phi[b])!r},{float(grid.t[a])!r},"
-                    f"{float(ux)!r},{float(uy)!r},{float(uz)!r}\n"
-                )
+        fh.write("phi,t,ux,uy,uz\n" + rows)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sphere_poincare import cli
 from sphere_poincare.cli import RunReport, main
 from sphere_poincare.suites import Check
 
@@ -244,3 +246,35 @@ def test_max_residual_keeps_a_nan():
 def test_grid_caps_are_accepted(tmp_path):
     argv = ["flow", "--kappa", "1", "--steps", "1", "--grid", "130", "259", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["gamma"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--kappa", "abc"])
+    assert exc.value.code == 2
+    shared = str(tmp_path / "shared")
+    assert main(["minimize", "--kappa", "6", "--direction", "1", "0", "0", "--out", str(tmp_path / "d")]) == 0
+    assert main(["minimize", "--kappa", "6", "--out", shared]) == 0
+    assert main(["verify", "--suite", "equality"]) == 0
+    assert main(["flow", "--kappa", "1", "--steps", "2", "--out", str(tmp_path / "t.csv")]) == 0
+    # One parser and its four subparsers, built by the first call only.
+    assert len(built) == 5
+    assert built[0] == "sphere-poincare"
+
+    cli.build_parser.cache_clear()
+    fresh = str(tmp_path / "fresh")
+    assert main(["minimize", "--kappa", "6", "--out", fresh]) == 0
+    assert len(built) == 10
+    for suffix in ("_field.csv", "_coeffs.csv"):
+        with open(shared + suffix, "rb") as a, open(fresh + suffix, "rb") as b:
+            assert a.read() == b.read()

@@ -326,3 +326,32 @@ def test_export_vector_field_csv(tmp_path):
     second = [float(x) for x in lines[2].split(",")]
     assert second[0] == grid.phi[1]
     assert second[1] == grid.t[0]
+
+
+def _per_node_field_csv(field_data, path):
+    """Node-by-node reference for the bytes of ``export_vector_field_csv``."""
+    grid = field_data.grid
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("phi,t,ux,uy,uz\n")
+        for a in range(grid.n_t):
+            for b in range(grid.n_phi):
+                ux, uy, uz = field_data.values[a, b]
+                fh.write(
+                    f"{float(grid.phi[b])!r},{float(grid.t[a])!r},"
+                    f"{float(ux)!r},{float(uy)!r},{float(uz)!r}\n"
+                )
+
+
+@pytest.mark.parametrize("sizes", [(3, 5), (16, 33)])
+def test_export_vector_field_csv_bytes_are_the_per_node_writer(sizes, tmp_path):
+    grid = build_grid(*sizes)
+    values = np.random.default_rng(sum(sizes)).standard_normal((*sizes, 3))
+    special = [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1e-300, 1.0, 2.0 / 3.0]
+    values.reshape(-1)[: len(special)] = special
+    values[-1, -1] = (-5e-324, 1e16 + 2.0, 0.0)
+    u = SampledVectorField(grid=grid, values=values)
+    export_vector_field_csv(u, tmp_path / "bulk.csv")
+    _per_node_field_csv(u, tmp_path / "per_node.csv")
+    bulk = (tmp_path / "bulk.csv").read_bytes()
+    assert bulk == (tmp_path / "per_node.csv").read_bytes()
+    assert b"-0.0,5e-324,1e+16\n" in bulk and b",0.30000000000000004," in bulk

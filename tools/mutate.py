@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 _BASIS_BYTES = "tests/test_basis_bytes.py"
 _REFERENCE_FLOW = "tests/test_flow.py::test_flow_matches_reference_loop_bitwise"
 _FRAME_ROUTE = "tests/test_vsh.py::test_frame_route_matches_the_dense_table"
+_LEGENDRE_ORACLE = "tests/test_legendre_oracle.py"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -247,6 +248,35 @@ MUTANTS = (
         "for data in _draw_blocks(1000, 4, rng):",
         "for data in _draw_blocks(900, 4, rng):",
         ("tests/test_suites.py::test_fuzz_suites_keep_their_draws_in_blocks_of_100",),
+    ),
+    # The scipy Legendre oracle, the bulk field CSV and the shared parser.
+    Mutant(
+        "legendre: Y_{12,3} negated",
+        "src/sphere_poincare/legendre.py",
+        "    norm = _norm_factor(n, abs(j))\n",
+        "    norm = _norm_factor(n, abs(j)) * (-1.0 if (n, j) == (12, 3) else 1.0)\n",
+        (_LEGENDRE_ORACLE,),
+    ),
+    Mutant(
+        "legendre: _norm_factor sign rule flipped for j > 10",
+        "src/sphere_poincare/legendre.py",
+        "sign = -1.0 if j % 2 else 1.0",
+        "sign = -1.0 if (j % 2) != (j > 10) else 1.0",
+        (_LEGENDRE_ORACLE,),
+    ),
+    Mutant(
+        "grid: field CSV with the t and phi loops swapped",
+        "src/sphere_poincare/grid.py",
+        "itertools.product(map(repr, grid.t.tolist()), map(repr, grid.phi.tolist()))",
+        "itertools.product(map(repr, grid.phi.tolist()), map(repr, grid.t.tolist()))",
+        ("tests/test_grid.py::test_export_vector_field_csv_bytes_are_the_per_node_writer",),
+    ),
+    Mutant(
+        "cli: build_parser's cache holds nothing",
+        "src/sphere_poincare/cli.py",
+        "@functools.cache\n",
+        "@functools.lru_cache(maxsize=0)\n",
+        ("tests/test_cli.py::test_main_builds_one_parser",),
     ),
 )
 

@@ -76,6 +76,8 @@ def outputs(workdir: str):
             yield f"verify-{suite}-seed={seed}", _report(text)
     minimize = [[f"--kappa={k}", "--method", m] for k in MINIMIZE_KAPPAS for m in ("closed", "numeric")]
     minimize.append(["--kappa=-4", "--c0", "1.5"])
+    # Field CSVs off the default 16 x 33 grid, up to the --grid cap.
+    minimize += [["--kappa=-3.9", "--grid", "18", "35"], ["--kappa=6", "--grid", "130", "259"]]
     for args in minimize:
         label = "minimize " + " ".join(args)
         prefix = os.path.join(workdir, "m")
