@@ -27,6 +27,7 @@ from .grid import (
     inner_product,
     scalar_basis,
 )
+from .legendre import MAX_DEGREE
 
 __all__ = [
     "FlowState",
@@ -134,7 +135,7 @@ def second_variation_normal(
     if radial_gap > 1e-10:
         raise ValueError(f"perturbation is not tangential (max |v.n| = {radial_gap:.3e})")
     if band_limit is None:
-        band_limit = min(v.grid.n_t - 1, (v.grid.n_phi - 1) // 2)
+        band_limit = min(v.grid.n_t - 1, (v.grid.n_phi - 1) // 2, MAX_DEGREE)
     dirichlet = dirichlet_energy_scalar_route(v, band_limit)
     return dirichlet - (kappa + 2.0) * inner_product(v, v)
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .legendre import scalar_sh_table
+from .legendre import _SQRT2, _legendre_tables, _norm_factor, scalar_sh_table
 
 __all__ = [
     "FOUR_PI",
@@ -41,6 +42,13 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+
+# Bands up to this one keep the dense per-mode tables, to whose bytes the
+# small-band outputs are pinned; above it both bases use cheaper routes.  The
+# scalar route keeps one band more, up to _DENSE_MAX_BAND + 1, because
+# energy_report runs it one degree above the vector band: the Cartesian
+# components of a band-N vector field reach degree N + 1.
+_DENSE_MAX_BAND = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,30 +202,85 @@ def _require_resolution(grid: Grid, band_limit: int) -> None:
 
 
 class ScalarBasis:
-    """Dense scalar spherical-harmonic transform for one grid and band limit.
+    """Scalar spherical-harmonic transform for one grid and band limit.
 
-    Rows of ``matrix`` hold Y_{n,j} node values in (n, j) order.  The
-    transforms are node-major: samples are (n_nodes,) or (n_nodes, k) in
-    t-major node order, coefficients (modes,) or (modes, k); the pair is
-    exact for band-limited data on a sufficiently resolved grid.
+    Coefficients are in (n, j) order.  The transforms are node-major:
+    samples are (n_nodes,) or (n_nodes, k) in t-major node order,
+    coefficients (modes,) or (modes, k); the pair is exact for
+    band-limited data on a sufficiently resolved grid.
+
+    Up to band ``_DENSE_MAX_BAND + 1`` the transforms contract ``matrix``,
+    the (modes, n_t, n_phi) node values of every Y_{n,j}.  Above it they
+    are separable, as Y_{n,j}(t, phi) = X_{n,|j|}(t) T_j(phi) with T_0 = 1,
+    T_{-m} = sqrt2 cos(m phi) and T_m = sqrt2 sin(m phi): one product over
+    phi with the (order, cos/sin slot, n_phi) table T, one batched product
+    over t with the per-order table X[m, n, t] (zero for n < m), and one
+    gather of (order, slot, degree) into (n, j) order, or the reverse.
+    There ``matrix`` is built only when read, as a dense oracle.
+
+    The basis refers to its grid weakly: the grid caches its bases, so a
+    strong reference back would keep both alive until the cyclic garbage
+    collector runs.
     """
 
     def __init__(self, grid: Grid, band_limit: int):
         _require_resolution(grid, band_limit)
         self.band_limit = band_limit
-        self.degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
-        self.matrix = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None])
-        self.eigenvalues = np.array([n * (n + 1) for n, _ in self.degrees], dtype=float)
-        # Kept precomputed: every analysis' bits depend on this table times the values.
-        self._weighted = np.multiply(self.matrix.reshape(len(self.degrees), -1), grid.weights.reshape(-1))
+        n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+        j = np.arange(n.size) - n * (n + 1)
+        self.degrees = list(zip(n.tolist(), j.tolist()))
+        self.eigenvalues = (n * (n + 1)).astype(float)
+        self._grid = weakref.ref(grid)
+        self._dense = band_limit <= _DENSE_MAX_BAND + 1
+        if self._dense:
+            # Kept precomputed: every analysis' bits depend on this table times the values.
+            self._weighted = np.multiply(self.matrix.reshape(n.size, -1), grid.weights.reshape(-1))
+            return
+        orders = range(band_limit + 1)
+        norms = np.array([[_norm_factor(d, m) if m <= d else 0.0 for d in orders] for m in orders])
+        x = np.swapaxes(_legendre_tables(band_limit, grid.t, grad=False)[0], 0, 1) * norms[:, :, None]
+        angle = np.multiply.outer(np.arange(band_limit + 1), grid.phi)
+        trig = _SQRT2 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        trig[0, 0] = 1.0  # Y_{n,0} = X_{n,0}; the order-0 sine slot is sin(0) = 0
+        self._x, self._x_w = x, x * grid.w_t
+        self._trig, self._trig_w = trig, trig * grid.w_phi
+        # Row of each (n, j) mode in the flattened (order, slot, degree) products:
+        # the cosine slot for j <= 0, the sine slot for j > 0.
+        self._slots = (2 * np.abs(j) + (j > 0)) * (band_limit + 1) + n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Every Y_{n,j}'s node values, (modes, n_t, n_phi), in (n, j) order."""
+        grid = self._grid()
+        if grid is None:
+            raise ReferenceError("the grid of this basis has been freed; keep a reference to it")
+        return scalar_sh_table(self.band_limit, grid.phi[None, :], grid.t[:, None])
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Coefficients (u, Y_{n,j}) of node-major samples."""
-        return self._weighted @ values
+        if self._dense:
+            return self._weighted @ values
+        orders, _, n_phi = self._trig_w.shape
+        n_t = self._x_w.shape[-1]
+        samples = values.reshape(n_t, n_phi, -1)
+        k = samples.shape[-1]
+        by_phi = self._trig_w.reshape(-1, n_phi) @ samples.swapaxes(0, 1).reshape(n_phi, -1)
+        coeffs = self._x_w[:, None] @ by_phi.reshape(orders, 2, n_t, k)
+        return coeffs.reshape(-1, k)[self._slots].reshape((-1,) + values.shape[1:])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Node-major samples of the coefficients."""
-        return self.matrix.reshape(len(self.degrees), -1).T @ coeffs
+        if self._dense:
+            return self.matrix.reshape(len(self.degrees), -1).T @ coeffs
+        orders, _, n_phi = self._trig.shape
+        n_t = self._x.shape[-1]
+        flat = coeffs.reshape(len(self.degrees), -1)
+        k = flat.shape[-1]
+        slotted = np.zeros((2 * orders * orders, k))
+        slotted[self._slots] = flat
+        by_t = self._x.swapaxes(1, 2)[:, None] @ slotted.reshape(orders, 2, orders, k)
+        values = self._trig.reshape(-1, n_phi).T @ by_t.reshape(2 * orders, n_t * k)
+        return values.reshape(n_phi, n_t, k).swapaxes(0, 1).reshape((-1,) + coeffs.shape[1:])
 
     def dirichlet(self, coeffs: np.ndarray) -> float:
         """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes, k)."""

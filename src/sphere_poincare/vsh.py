@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import Grid, SampledVectorField, _dot3, _require_resolution, _same_grid, tangent_frame
+from .grid import _DENSE_MAX_BAND, Grid, SampledVectorField, _dot3, _require_resolution, _same_grid, tangent_frame
 from .legendre import MAX_DEGREE, _legendre_tables, _sh_mode, _sh_rows, scalar_sh_table
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "analyze",
     "random_coeffs",
 ]
-
-# Bands up to this one contract the dense per-mode table, to whose bytes the
-# small-band outputs are pinned; bands above it use the frame components.
-_DENSE_MAX_BAND = 8
 
 
 @dataclass(frozen=True)

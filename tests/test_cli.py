@@ -246,6 +246,8 @@ def test_max_residual_keeps_a_nan():
 def test_grid_caps_are_accepted(tmp_path):
     argv = ["flow", "--kappa", "1", "--steps", "1", "--grid", "130", "259", "--out", str(tmp_path / "t.csv")]
     assert main(argv) == 0
+    # The band cap too: its scalar transform holds about 9 MiB, not 2 GiB of dense tables.
+    assert main(["flow", "--kappa=1", "--band", "64", "--dt", "1e-4", *argv[3:]]) == 0
 
 
 def test_main_builds_one_parser(tmp_path, monkeypatch):

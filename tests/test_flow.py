@@ -79,6 +79,13 @@ def test_second_variation_closed_value(kappa):
     )
 
 
+def test_second_variation_default_band_is_capped_at_max_degree():
+    # This grid resolves band 65, one above MAX_DEGREE.
+    grid = build_grid(66, 133)
+    v = _tangential_bump(grid)
+    assert_allclose(second_variation_normal(v, 6.0), -FOUR_PI * 6.0, rtol=0, atol=1e-8)
+
+
 def test_second_variation_zero_field():
     grid = verification_grid(2)
     v = SampledVectorField(grid=grid, values=np.zeros((grid.n_t, grid.n_phi, 3)))

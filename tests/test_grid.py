@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference_basis
 from sphere_poincare.grid import (
     SampledScalarField,
     SampledVectorField,
+    ScalarBasis,
     _dot3,
     build_grid,
     dirichlet_energy_scalar_route,
@@ -272,6 +274,58 @@ def test_scalar_roundtrip_band_limited(rng):
         coeffs = rng.standard_normal(len(basis.degrees))
         back = basis.analyze(basis.synthesize(coeffs))
         assert np.max(np.abs(back - coeffs)) < 1e-11
+
+
+def test_scalar_dense_table_above_the_crossover_is_built_on_demand_from_the_reference():
+    grid = verification_grid(10)
+    basis = ScalarBasis(grid, 10)
+    assert "matrix" not in vars(basis)
+    assert basis.matrix.tobytes() == reference_basis.scalar_matrix(grid, 10).tobytes()
+    assert "matrix" in vars(ScalarBasis(grid, 9))
+    assert basis.degrees == [(n, j) for n in range(11) for j in range(-n, n + 1)]
+    assert basis.eigenvalues.tolist() == [n * (n + 1) for n, _ in basis.degrees]
+    # The transforms need no grid; the oracle does, and says so once it is gone.
+    with _no_cyclic_gc():
+        orphan = ScalarBasis(verification_grid(10), 10)
+        assert orphan.synthesize(orphan.analyze(np.ones(22 * 43))) == pytest.approx(np.ones(22 * 43))
+        with pytest.raises(ReferenceError, match="grid of this basis has been freed"):
+            orphan.matrix
+
+
+# Above band 9 the scalar transforms are separable: per-order Legendre tables and a trig table.
+@pytest.mark.parametrize("band", [10, 12, 21, 33])
+def test_separable_route_matches_the_dense_table(band):
+    grid = verification_grid(band)
+    basis = ScalarBasis(grid, band)
+    modes = len(basis.degrees)
+    rng = np.random.default_rng(band)
+    samples = [rng.standard_normal(grid.n_nodes), rng.standard_normal((grid.n_nodes, 3))]
+    coeffs = [rng.standard_normal(modes), rng.standard_normal((modes, 3))]
+    analyzed = [basis.analyze(v) for v in samples]
+    synthesized = [basis.synthesize(c) for c in coeffs]
+    assert "matrix" not in vars(basis)
+    dense = basis.matrix.reshape(modes, -1)
+    for v, got in zip(samples, analyzed):
+        assert got.shape == (modes,) + v.shape[1:]
+        assert_allclose(got, (dense * grid.weights.reshape(-1)) @ v, rtol=0, atol=1e-13)
+    for c, got in zip(coeffs, synthesized):
+        assert got.shape == (grid.n_nodes,) + c.shape[1:]
+        assert_allclose(got, dense.T @ c, rtol=0, atol=1e-13)
+    if band <= 21:  # the identity's synthesis grows as N^4: 85 MB at band 33, 1.1 GB at 64
+        gram = basis.analyze(basis.synthesize(np.eye(modes)))
+        assert np.max(np.abs(gram - np.eye(modes))) < 1e-11
+
+
+@pytest.mark.parametrize("band", [10, 16, 33, 64])
+def test_separable_route_roundtrip_up_to_max_degree(band):
+    grid = verification_grid(band)
+    basis = ScalarBasis(grid, band)
+    coeffs = np.random.default_rng(band).standard_normal((len(basis.degrees), 8))
+    back = basis.analyze(basis.synthesize(coeffs))
+    assert np.max(np.abs(back - coeffs)) < 1e-11
+    assert "matrix" not in vars(basis)
+    # The dense tables would hold 2 x 1.06 GiB at band 64.
+    assert sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray)) < 16 * 2**20
 
 
 def test_dirichlet_scalar_route_normal_field():

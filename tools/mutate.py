@@ -44,6 +44,7 @@ _BASIS_BYTES = "tests/test_basis_bytes.py"
 _REFERENCE_FLOW = "tests/test_flow.py::test_flow_matches_reference_loop_bitwise"
 _FRAME_ROUTE = "tests/test_vsh.py::test_frame_route_matches_the_dense_table"
 _LEGENDRE_ORACLE = "tests/test_legendre_oracle.py"
+_SEPARABLE_ROUTE = "tests/test_grid.py::test_separable_route_matches_the_dense_table"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -236,8 +237,8 @@ MUTANTS = (
         (_FRAME_ROUTE,),
     ),
     Mutant(
-        "vsh: crossover band 0",
-        "src/sphere_poincare/vsh.py",
+        "grid: crossover band 0",
+        "src/sphere_poincare/grid.py",
         "_DENSE_MAX_BAND = 8",
         "_DENSE_MAX_BAND = 0",
         (_BASIS_BYTES + "::test_vector_transforms_bytes_are_the_dense_einsums",),
@@ -277,6 +278,35 @@ MUTANTS = (
         "@functools.cache\n",
         "@functools.lru_cache(maxsize=0)\n",
         ("tests/test_cli.py::test_main_builds_one_parser",),
+    ),
+    # The separable scalar transform above the scalar crossover band.
+    Mutant(
+        "grid: cosine and sine slots swapped in the separable gather",
+        "src/sphere_poincare/grid.py",
+        "(2 * np.abs(j) + (j > 0))",
+        "(2 * np.abs(j) + (j < 0))",
+        (_SEPARABLE_ROUTE,),
+    ),
+    Mutant(
+        "grid: weighted trig table without w_phi",
+        "src/sphere_poincare/grid.py",
+        "self._trig, self._trig_w = trig, trig * grid.w_phi",
+        "self._trig, self._trig_w = trig, trig",
+        (_SEPARABLE_ROUTE,),
+    ),
+    Mutant(
+        "grid: scalar crossover lowered to _DENSE_MAX_BAND",
+        "src/sphere_poincare/grid.py",
+        "self._dense = band_limit <= _DENSE_MAX_BAND + 1",
+        "self._dense = band_limit <= _DENSE_MAX_BAND",
+        (_BASIS_BYTES + "::test_scalar_basis_bytes_match_reference",),
+    ),
+    Mutant(
+        "grid: separable table without the Condon-Shortley sign",
+        "src/sphere_poincare/grid.py",
+        "_norm_factor(d, m) if m <= d",
+        "abs(_norm_factor(d, m)) if m <= d",
+        (_SEPARABLE_ROUTE,),
     ),
 )
 
