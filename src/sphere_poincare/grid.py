@@ -17,7 +17,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -93,15 +93,28 @@ class Grid:
         return frame
 
 
+@cache
+def _gauss_legendre(n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(n_t)`` nodes and weights, computed once per size.
+
+    Read-only, as every grid with n_t nodes in t shares them.
+    """
+    nodes = np.polynomial.legendre.leggauss(n_t)
+    for array in nodes:
+        array.setflags(write=False)
+    return nodes
+
+
 def build_grid(n_t: int, n_phi: int) -> Grid:
     """Build the quadrature grid.
 
     Exact for integrands that are polynomials in t of degree <= 2*n_t - 1
-    times trigonometric polynomials of frequency < n_phi.
+    times trigonometric polynomials of frequency < n_phi.  Grids of the
+    same n_t share their (read-only) t nodes and weights.
     """
     if n_t < 1 or n_phi < 1:
         raise ValueError("grid sizes must be positive")
-    t, w_t = np.polynomial.legendre.leggauss(n_t)
+    t, w_t = _gauss_legendre(n_t)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     return Grid(t=t, w_t=w_t, phi=phi, w_phi=2.0 * np.pi / n_phi)
 
@@ -201,6 +214,11 @@ def _require_resolution(grid: Grid, band_limit: int) -> None:
         )
 
 
+def _row_degrees(band_limit: int) -> np.ndarray:
+    """Degree n of each row of an (n, j)-ordered table up to ``band_limit``."""
+    return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+
+
 class ScalarBasis:
     """Scalar spherical-harmonic transform for one grid and band limit.
 
@@ -226,7 +244,7 @@ class ScalarBasis:
     def __init__(self, grid: Grid, band_limit: int):
         _require_resolution(grid, band_limit)
         self.band_limit = band_limit
-        n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+        n = _row_degrees(band_limit)
         j = np.arange(n.size) - n * (n + 1)
         self.degrees = list(zip(n.tolist(), j.tolist()))
         self.eigenvalues = (n * (n + 1)).astype(float)

@@ -109,7 +109,11 @@ class MinimizerSpec:
 
 
 def _tau_ratio(kappa: float) -> float:
-    return -2.0 * math.sqrt(2.0) / (gamma(kappa) - 2.0)
+    gap = gamma(kappa) - 2.0
+    if gap == 0.0:
+        # At large kappa gamma = 2 - 8/kappa + ... rounds to 2 in the cancelling closed form.
+        raise ValueError(f"gamma - 2 cancels to zero at kappa={kappa!r}, so tau/sigma cannot be formed")
+    return -2.0 * math.sqrt(2.0) / gap
 
 
 def build_minimizer(
@@ -140,6 +144,8 @@ def build_minimizer(
         d = _unit_direction(direction if direction is not None else (0.0, 1.0, 0.0))
         root = math.sqrt(kappa * kappa + 4.0 * kappa + 36.0)
         sigma_sq = 2.0 * math.pi * (-(kappa + 2.0) + root) / root
+        if sigma_sq <= 0.0:
+            raise ValueError(f"|sigma|^2 cancels to zero at kappa={kappa!r}, so the minimizer cannot be normalized")
         c0_val = 0.0
         sigma = math.sqrt(sigma_sq) * d
         tau = _tau_ratio(kappa) * sigma
@@ -220,12 +226,19 @@ def membership_check(coeffs: CoeffSet, kappa: float, tol: float) -> bool:
 
 
 def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:
-    """Rows (kappa, gamma, gamma_plus, shifted-or-None) for the table."""
+    """Rows (kappa, gamma, gamma_plus, shifted-or-None) for the table.
+
+    Raises ValueError if a constant is not finite (kappa^2 overflows from
+    about |kappa| = 1.3e154).
+    """
     rows = []
     for kappa in kappas:
         kappa = float(kappa)
         shifted = shifted_constant(kappa) if kappa < 0.0 else None
-        rows.append((kappa, gamma(kappa), gamma_plus(kappa), shifted))
+        gam, gam_plus = gamma(kappa), gamma_plus(kappa)
+        if not (math.isfinite(gam) and math.isfinite(gam_plus) and math.isfinite(shifted or 0.0)):
+            raise ValueError(f"the constants are not finite at kappa={kappa!r}: kappa^2 overflows")
+        rows.append((kappa, gam, gam_plus, shifted))
     return rows
 
 

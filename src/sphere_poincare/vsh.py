@@ -20,8 +20,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import _DENSE_MAX_BAND, Grid, SampledVectorField, _dot3, _require_resolution, _same_grid, tangent_frame
-from .legendre import MAX_DEGREE, _legendre_tables, _sh_mode, _sh_rows, scalar_sh_table
+from .grid import (
+    _DENSE_MAX_BAND,
+    Grid,
+    SampledVectorField,
+    _dot3,
+    _require_resolution,
+    _row_degrees,
+    _same_grid,
+    tangent_frame,
+)
+from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
 
 __all__ = [
     "ModeIndex",
@@ -216,21 +225,40 @@ class CoeffSet:
         return out
 
 
-def _mode_field(mode: ModeIndex, frame, y, d_phi, d_t) -> np.ndarray:
-    """One vector harmonic from the tangent frame and its rows Y, dY/dphi, dY/dt."""
+def _family_blocks(frame, y, d_phi, d_t, n, radial, gradient, curl) -> None:
+    """Write the vector harmonics of stacked scalar-harmonic rows into three blocks.
+
+    ``radial`` (rows of ``y``, ..., 3) gets Y normal.  ``gradient`` and
+    ``curl`` (rows of ``d_phi``, ..., 3) get y2 = (e_phi dY/dphi / s +
+    e_t s dY/dt) / sqrt(n(n+1)) and normal x y2 from the rows dY/dphi and
+    dY/dt of degrees ``n`` >= 1.  Every entry has the bits of the per-mode
+    formula and of ``np.cross`` (same products, same order).  The curl
+    block and the dY/dphi and dY/dt rows, which are overwritten, serve as
+    scratch, so no block-sized temporary is made.
+    """
     eps_phi, eps_t, normal = frame
-    if mode.family == 1:
-        return y[..., None] * normal
     s = eps_t[..., 2]  # sqrt(1 - t^2)
-    grad = eps_phi * (d_phi / s)[..., None] + eps_t * (s * d_t)[..., None]
-    y2 = grad / np.sqrt(mode.n * (mode.n + 1))
-    return y2 if mode.family == 2 else np.cross(normal, y2)
+    np.multiply(y[..., None], normal, out=radial)
+    d_phi /= s
+    d_t *= s
+    np.multiply(eps_phi, d_phi[..., None], out=gradient)
+    gradient += np.multiply(eps_t, d_t[..., None], out=curl)  # the curl block is still free
+    gradient /= np.sqrt(n * (n + 1)).reshape((-1,) + (1,) * d_t.ndim)
+    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        # np.cross: curl_k = normal_a y2_b - normal_b y2_a, with d_phi as its temporary.
+        np.multiply(normal[..., a], gradient[..., b], out=curl[..., k])
+        np.subtract(curl[..., k], np.multiply(normal[..., b], gradient[..., a], out=d_phi), out=curl[..., k])
 
 
 def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:
     """Evaluate one vector harmonic at (phi, t); returns R^3 values."""
     frame = tangent_frame(phi, t)
-    return _mode_field(mode, frame, *_sh_mode(mode.n, mode.j, phi, t, grad=True))
+    shape = (1,) + frame[2].shape[:-1]
+    y, d_phi, d_t = (np.broadcast_to(row, shape).copy() for row in _sh_mode(mode.n, mode.j, phi, t, grad=True))
+    blocks = np.empty((3,) + shape + (3,))
+    k = 1 if mode.n else 0  # families 2 and 3 start at degree 1
+    _family_blocks(frame, y, d_phi[:k], d_t[:k], np.full(k, mode.n), blocks[0], blocks[1, :k], blocks[2, :k])
+    return blocks[mode.family - 1, 0]
 
 
 def _unit_direction(direction) -> np.ndarray:
@@ -270,7 +298,7 @@ class VectorBasis:
             return
         y, a, b = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
         s = np.sqrt(1.0 - grid.t * grid.t)[:, None]
-        n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+        n = _row_degrees(band_limit)
         scale = np.zeros(n.size)  # rows of A and B at n = 0 are zero
         scale[1:] = 1.0 / np.sqrt(n[1:] * (n[1:] + 1.0))
         a /= s
@@ -287,16 +315,13 @@ class VectorBasis:
     def matrix(self) -> np.ndarray:
         """Every mode's node values, (modes, n_t, n_phi, 3), in canonical mode order."""
         grid = self.grid
-        matrix = np.empty((len(self.modes), grid.n_t, grid.n_phi, 3))
-        index = {(mode.family, mode.n, mode.j): k for k, mode in enumerate(self.modes)}
-        tables = _legendre_tables(self.band_limit, grid.t[:, None], grad=True)
-        # One scalar harmonic's rows serve the (up to three) family rows of its (n, j).
-        for n in range(self.band_limit + 1):
-            for j in range(-n, n + 1):
-                rows = _sh_rows(n, j, grid.phi[None, :], *tables)
-                for family in (1, 2, 3) if n else (1,):
-                    mode = ModeIndex(family, n, j)
-                    matrix[index[family, n, j]] = _mode_field(mode, grid.frame, *rows)
+        y, d_phi, d_t = scalar_sh_table(self.band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
+        rows = len(y)
+        matrix = np.empty((3 * rows - 2, grid.n_t, grid.n_phi, 3))
+        # Family 1 over every (n, j), then families 2 and 3 from n = 1 (row 1 on).
+        n = _row_degrees(self.band_limit)
+        blocks = matrix[:rows], matrix[rows : 2 * rows - 1], matrix[2 * rows - 1 :]
+        _family_blocks(grid.frame, y, d_phi[1:], d_t[1:], n[1:], *blocks)
         return matrix
 
     @property

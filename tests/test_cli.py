@@ -208,6 +208,12 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["gamma", "--range", "0", "1", "2.5"], None),
         (["minimize", "--kappa", "1", "--grid", "131", "16", "--out", "{tmp}/m"], None),
         (["flow", "--kappa", "1", "--steps", "1", "--grid", "10", "260", "--out", "{tmp}/t.csv"], None),
+        # Huge weights: gamma - 2 or |sigma|^2 cancels to zero, or kappa^2 overflows.
+        (["minimize", "--kappa", "1e10", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=3.2668450216178864e+16", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa", "1e154", "--out", "{tmp}/m"], None),
+        (["gamma", "--kappa", "1e300", "--out", "{tmp}/g.csv"], None),
+        (["gamma", "--kappa=-1e300"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):

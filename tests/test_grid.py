@@ -131,6 +131,29 @@ def test_inner_product_normal_field():
     assert_allclose(inner_product(n, n), FOUR_PI, rtol=0, atol=1e-12)
 
 
+def test_grids_of_one_size_share_read_only_gauss_legendre_nodes(monkeypatch):
+    from sphere_poincare import grid as grid_module
+
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counting(n_t):
+        calls.append(n_t)
+        return leggauss(n_t)
+
+    grid_module._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    a, b, c = build_grid(7, 15), build_grid(7, 4), build_grid(9, 15)
+    build_grid(9, 1), verification_grid(3), build_grid(7, 31)
+    assert calls == [7, 9, 8]
+    assert a.t is b.t and a.w_t is b.w_t and c.t is not a.t
+    for shared, fresh in zip((a.t, a.w_t), leggauss(7)):
+        assert shared.tobytes() == fresh.tobytes()
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
 def test_tangent_frame_axes():
     eps_phi, eps_t, normal = tangent_frame(0.0, 0.0)
     assert_allclose(eps_phi, [0.0, 1.0, 0.0], atol=1e-16)

@@ -4,7 +4,8 @@ scipy is a test-only oracle: ``sph_legendre_p(n, m, theta)`` is the
 orthonormalized X_{n,m}(cos theta) with the Condon-Shortley phase, and
 its theta-derivative gives dX/dt = -(dX/dtheta) / sin(theta).  The nodes
 are the t nodes of ``verification_grid(MAX_DEGREE)``, whose outermost
-lie within 2e-4 of the poles.
+lie within 2e-4 of the poles.  Next to the poles both tables are also
+spot-checked against P_n's explicit coefficients summed in 50-digit mpmath.
 """
 
 import math
@@ -78,3 +79,39 @@ def test_scalar_sh_table_rows_are_the_scipy_harmonics(nodes, scipy_x):
                 assert _scaled_gap(ours, reference) < 1e-12, (n, j)
             row += 1
     assert row == y.shape[0]
+
+
+# (n, m) spot-checked against 50-digit mpmath next to the poles.  Measured
+# worst relative gaps: 2.0e-12 for P_{n,m} and 1.9e-12 for dP_{n,m}/dt, both
+# at (64, 64) on the node nearest a pole, consistent with the seed
+# (1 - t^2)^(m/2) raising the rounding of 1 - t^2 (up to 3e-13 relative
+# there) to the 32nd power; dP_{5,0}/dt is off by 4.1e-13 there.
+_SPOT_PAIRS = [(5, 0), (12, 3), (40, 7), (64, 0), (50, 25), (64, 63), (64, 64)]
+_SPOT_RTOL = 1e-11
+
+
+def _mp_ferrers(mp, n, m, t):
+    """P_{n,m}(t) = (1-t^2)^{m/2} d^m P_n/dt^m, summed from the explicit
+    coefficients of P_n at the working precision (exact integer coefficients,
+    no recurrence, so independent of the tables under test)."""
+    total = mp.mpf(0)
+    for k in range((n - m) // 2 + 1):
+        power = n - 2 * k
+        coeff = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n) * math.perm(power, m)
+        total += coeff * t ** (power - m)
+    return (1 - t * t) ** (mp.mpf(m) / 2) * total / mp.mpf(2) ** n
+
+
+def test_legendre_tables_next_to_the_poles_are_50_digit_mpmath(nodes):
+    mpmath = pytest.importorskip("mpmath")
+    t, _ = nodes
+    polar = t[[0, 1, -2, -1]]  # the two nodes nearest each pole
+    table, dt_table = _legendre_tables(MAX_DEGREE, polar, grad=True)
+    with mpmath.workdps(50):
+        for n, m in _SPOT_PAIRS:
+            for k, node in enumerate(polar.tolist()):
+                x = mpmath.mpf(node)
+                value = _mp_ferrers(mpmath, n, m, x)
+                slope = mpmath.diff(lambda z: _mp_ferrers(mpmath, n, m, z), x)
+                assert abs(table[n, m, k] - value) <= _SPOT_RTOL * abs(value), (n, m, node)
+                assert abs(dt_table[n, m, k] - slope) <= _SPOT_RTOL * abs(slope), (n, m, node)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import reference_basis
+import sphere_poincare
 from sphere_poincare.grid import (
     SampledVectorField,
     build_grid,
@@ -14,6 +19,7 @@ from sphere_poincare.grid import (
     tangent_frame,
     verification_grid,
 )
+from sphere_poincare.legendre import _legendre_tables, _sh_rows
 from sphere_poincare.vsh import (
     CoeffSet,
     ModeIndex,
@@ -107,6 +113,80 @@ def test_vector_basis_matrix_matches_stacked_modes():
     grid = verification_grid(3)
     expected = reference_basis.vector_matrix(grid, 3)
     assert vector_basis(grid, 3).matrix.tobytes() == expected.tobytes()
+
+
+def _per_mode_field(mode, frame, y, d_phi, d_t):
+    """One vector harmonic from the tangent frame and its rows Y, dY/dphi, dY/dt
+    (the per-mode kernel the family blocks replaced, kept verbatim)."""
+    eps_phi, eps_t, normal = frame
+    if mode.family == 1:
+        return y[..., None] * normal
+    s = eps_t[..., 2]  # sqrt(1 - t^2)
+    grad = eps_phi * (d_phi / s)[..., None] + eps_t * (s * d_t)[..., None]
+    y2 = grad / np.sqrt(mode.n * (mode.n + 1))
+    return y2 if mode.family == 2 else np.cross(normal, y2)
+
+
+def _per_mode_matrix(grid, band_limit):
+    """VectorBasis.matrix built one mode at a time (the loop the family blocks replaced)."""
+    modes = mode_list(band_limit)
+    matrix = np.empty((len(modes), grid.n_t, grid.n_phi, 3))
+    index = {(mode.family, mode.n, mode.j): k for k, mode in enumerate(modes)}
+    tables = _legendre_tables(band_limit, grid.t[:, None], grad=True)
+    # One scalar harmonic's rows serve the (up to three) family rows of its (n, j).
+    for n in range(band_limit + 1):
+        for j in range(-n, n + 1):
+            rows = _sh_rows(n, j, grid.phi[None, :], *tables)
+            for family in (1, 2, 3) if n else (1,):
+                mode = ModeIndex(family, n, j)
+                matrix[index[family, n, j]] = _per_mode_field(mode, grid.frame, *rows)
+    return matrix
+
+
+# Eagerly built dense bands, on the verification grid and the CLI grids, and lazily built ones.
+@pytest.mark.parametrize("band, size", [(0, None), (1, (16, 33)), (8, (18, 35)), (8, None), (9, None), (12, None)])
+def test_block_built_matrix_is_the_per_mode_loop(band, size):
+    grid = verification_grid(band) if size is None else build_grid(*size)
+    assert VectorBasis(grid, band).matrix.tobytes() == _per_mode_matrix(grid, band).tobytes()
+
+
+@pytest.mark.parametrize("band, size", [(4, (10, 19)), (9, None)])
+def test_eval_vsh_is_the_matching_matrix_row(band, size):
+    grid = verification_grid(band) if size is None else build_grid(*size)
+    matrix = VectorBasis(grid, band).matrix
+    t_mesh, phi_mesh = grid.meshes
+    for row, mode in zip(matrix, mode_list(band)):
+        assert eval_vsh(mode, phi_mesh, t_mesh).tobytes() == row.tobytes(), mode
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM from /proc")
+def test_lazy_band20_matrix_peaks_one_family_block_above_the_table():
+    # VmHWM, not ru_maxrss: Linux carries the pre-exec maxrss of the forked test
+    # process into the child's ru_maxrss, while VmHWM is the child's own peak.
+    script = textwrap.dedent(
+        """
+        from sphere_poincare.grid import verification_grid
+        from sphere_poincare.vsh import VectorBasis
+
+        def status(key):
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+        grid = verification_grid(20)
+        grid.frame
+        basis = VectorBasis(grid, 20)
+        before = status("VmRSS")
+        matrix = basis.matrix
+        print(status("VmHWM") - before, matrix.nbytes, matrix[:441].nbytes)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    growth, table, block = map(int, out.split())
+    # The scalar tables Y, dY/dphi and dY/dt together are one family block; the
+    # margin covers the Legendre tables (about 0.3 MiB) and allocator slack.
+    assert growth <= table + block + 2 * 2**20
 
 
 def test_gram_matrix_identity():
