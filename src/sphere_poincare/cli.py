@@ -99,12 +99,15 @@ def _resolve_seed(seed: int) -> int:
         raise ValueError(f"SPHERE_POINCARE_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(report: RunReport, as_json: bool, out_path=None) -> None:
-    text = report.to_json() if as_json else report.to_text()
+def _report(args, start: float, command: str, parameters: dict, checks: list[Check], out_path=None) -> int:
+    """Print a run's report (and write it to ``out_path``); exit code 0 if it passed, else 1."""
+    report = RunReport(command, parameters, checks, wall_time_s=time.perf_counter() - start)
+    text = report.to_json() if args.json else report.to_text()
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
+    return 0 if report.passed else 1
 
 
 _MAX_RANGE_STEPS = 1_000_000  # gamma --range rows; the table is rendered in memory
@@ -148,26 +151,15 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     start = time.perf_counter()
     checks = run_suite(args.suite, seed)
-    report = RunReport(
-        command=f"verify --suite {args.suite}",
-        parameters={"suite": args.suite, "seed": seed},
-        checks=checks,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.json, args.out)
-    return 0 if report.passed else 1
+    parameters = {"suite": args.suite, "seed": seed}
+    return _report(args, start, f"verify --suite {args.suite}", parameters, checks, args.out)
 
 
 def cmd_minimize(args) -> int:
     start = time.perf_counter()
     kappa = args.kappa
     regime = classify_regime(kappa)
-    if regime.value == "below":
-        kwargs = {"sign": args.sign}
-    else:
-        kwargs = {"direction": tuple(args.direction)}
-        if args.c0 is not None:
-            kwargs["c0"] = args.c0
+    kwargs = {"sign": args.sign} if regime.value == "below" else {"direction": args.direction, "c0": args.c0}
     _, closed = build_minimizer(kappa, **kwargs)
     numeric = numeric_minimizer(kappa)
     chosen = closed if args.method == "closed" else numeric
@@ -186,22 +178,16 @@ def cmd_minimize(args) -> int:
         _bool_check("closed-membership", membership_check(closed, kappa, tol)),
         _bool_check("numeric-membership", membership_check(numeric, kappa, tol)),
     ]
-    report = RunReport(
-        command=f"minimize --kappa {kappa:g} --method {args.method}",
-        parameters={
-            "kappa": kappa,
-            "regime": regime.value,
-            "gamma": gamma(kappa),
-            "method": args.method,
-            "membership_tol": tol,
-            "coeffs_csv": coeff_path,
-            "field_csv": field_path,
-        },
-        checks=checks,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.json)
-    return 0 if report.passed else 1
+    parameters = {
+        "kappa": kappa,
+        "regime": regime.value,
+        "gamma": gamma(kappa),
+        "method": args.method,
+        "membership_tol": tol,
+        "coeffs_csv": coeff_path,
+        "field_csv": field_path,
+    }
+    return _report(args, start, f"minimize --kappa {kappa:g} --method {args.method}", parameters, checks)
 
 
 def _flow_verdict(result) -> str:
@@ -246,23 +232,17 @@ def cmd_flow(args) -> int:
         Check("energy-monotone", max(monotone_gap, 0.0), 1e-10),
         Check("unit-norm", _unit_gap(result.state.field.values), 1e-12),
     ]
-    report = RunReport(
-        command=f"flow --kappa {args.kappa:g}",
-        parameters={
-            "kappa": args.kappa,
-            "perturb": args.perturb,
-            "dt": args.dt,
-            "steps": args.steps,
-            "band": args.band,
-            "final_distance": result.final_distance,
-            "verdict": verdict,
-            "trajectory_csv": args.out,
-        },
-        checks=checks,
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.json)
-    return 0 if report.passed else 1
+    parameters = {
+        "kappa": args.kappa,
+        "perturb": args.perturb,
+        "dt": args.dt,
+        "steps": args.steps,
+        "band": args.band,
+        "final_distance": result.final_distance,
+        "verdict": verdict,
+        "trajectory_csv": args.out,
+    }
+    return _report(args, start, f"flow --kappa {args.kappa:g}", parameters, checks)
 
 
 @functools.cache
@@ -299,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--kappa", type=float, required=True)
     p_min.add_argument("--method", choices=("closed", "numeric"), default="closed")
     p_min.add_argument(
-        "--direction", nargs=3, type=float, default=(0.0, 1.0, 0.0),
+        "--direction", nargs=3, type=float, default=None,
         metavar=("D-1", "D0", "D+1"),
     )
     p_min.add_argument("--sign", type=float, default=1.0)
@@ -326,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "json"):
-        args.json = False
     try:
         for name, value in vars(args).items():
             values = value if isinstance(value, (list, tuple)) else [value]

@@ -53,9 +53,14 @@ def block(n: int, kappa: float) -> SpectralBlock:
     if n == 0:
         matrix = np.array([[kappa + 2.0]])
     else:
-        off = -2.0 * math.sqrt(nstar)
-        matrix = np.array([[nstar + 2.0 + kappa, off], [off, nstar]])
+        a, b, d = _block_entries(nstar, kappa)
+        matrix = np.array([[a, b], [b, d]])
     return SpectralBlock(n=n, kappa=kappa, matrix=matrix, u3_eigenvalue=nstar)
+
+
+def _block_entries(nstar, kappa):
+    """Entries (a, b, d) of the degree block [[a, b], [b, d]], elementwise over arrays of n*."""
+    return nstar + 2.0 + kappa, -2.0 * np.sqrt(nstar), nstar
 
 
 def _smaller_eigenvalue(a, b, d):
@@ -89,8 +94,9 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     normalized problem, together with every channel attaining it as a
     ``(degree, kind)`` tuple, kind one of ``"scalar"`` (degree 0 only),
     ``"block"`` and ``"u3"``, in candidate order.  The blocks of all
-    degrees are solved in one array pass, entry for entry as ``block``
-    and ``min_eigenpair`` would.
+    degrees are solved in one array pass, from the ``_block_entries``
+    that ``block`` also reads and with the eigenvalue formula of
+    ``min_eigenpair``.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -99,7 +105,7 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     # Candidate order: the scalar, then (block, u3) per degree.
     values = np.empty(2 * n_max + 1)
     values[0] = kappa + 2.0
-    values[1::2] = _smaller_eigenvalue(nstar + 2.0 + kappa, -2.0 * np.sqrt(nstar), nstar)
+    values[1::2] = _smaller_eigenvalue(*_block_entries(nstar, kappa))
     values[2::2] = nstar
     best = float(values.min())
     tol = _TIE_TOL * max(1.0, abs(best))
@@ -140,12 +146,9 @@ def _minimizer_from_channels(kappa: float, winners, direction=None, rng=None) ->
     _, vec = min_eigenpair(block(n, kappa))
     out = CoeffSet(n)
     if n == 1:
-        if direction is not None:
-            d = _unit_direction(direction)
-        elif rng is not None:
-            d = _unit_direction(rng.standard_normal(3))
-        else:
-            d = np.array([0.0, 1.0, 0.0])  # deterministic j = 0 axis
+        if direction is None and rng is not None:
+            direction = rng.standard_normal(3)
+        d = _unit_direction(direction)
         for offset, j in enumerate((-1, 0, 1)):
             out[(1, 1, j)] = scale * vec[0] * d[offset]
             out[(2, 1, j)] = scale * vec[1] * d[offset]

@@ -214,6 +214,14 @@ def _require_resolution(grid: Grid, band_limit: int) -> None:
         )
 
 
+def _live_grid(ref: weakref.ref) -> Grid:
+    """The grid a basis refers to weakly; ReferenceError once it has been freed."""
+    grid = ref()
+    if grid is None:
+        raise ReferenceError("the grid of this basis has been freed; keep a reference to it")
+    return grid
+
+
 def _row_degrees(band_limit: int) -> np.ndarray:
     """Degree n of each row of an (n, j)-ordered table up to ``band_limit``."""
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
@@ -269,9 +277,7 @@ class ScalarBasis:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Every Y_{n,j}'s node values, (modes, n_t, n_phi), in (n, j) order."""
-        grid = self._grid()
-        if grid is None:
-            raise ReferenceError("the grid of this basis has been freed; keep a reference to it")
+        grid = _live_grid(self._grid)
         return scalar_sh_table(self.band_limit, grid.phi[None, :], grid.t[:, None])
 
     def analyze(self, values: np.ndarray) -> np.ndarray:

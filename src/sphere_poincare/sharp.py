@@ -19,6 +19,10 @@ sigma_j, tau_j over j = -1, 0, 1), with regime-dependent relations:
   |sigma|^2 = 2 pi (-(kappa+2) + S)/S with S = sqrt(kappa^2+4kappa+36);
 * critical (kappa = -4): tau_j = sigma_j sqrt(2)/2 and
   2 c0^2 + 3 |sigma|^2 = 8 pi.
+
+Both tau/sigma relations live in ``_tau_ratio``, which ``build_minimizer``
+and ``membership_check`` share; sigma's order direction defaults to the
+j = 0 axis of ``vsh._unit_direction``.
 """
 
 from __future__ import annotations
@@ -109,6 +113,9 @@ class MinimizerSpec:
 
 
 def _tau_ratio(kappa: float) -> float:
+    """tau_j / sigma_j on the equality family at or above the boundary."""
+    if classify_regime(kappa) is Regime.CRITICAL:
+        return math.sqrt(2.0) / 2.0
     gap = gamma(kappa) - 2.0
     if gap == 0.0:
         # At large kappa gamma = 2 - 8/kappa + ... rounds to 2 in the cancelling closed form.
@@ -136,32 +143,27 @@ def build_minimizer(
         if sign == 0.0:
             raise ValueError("sign must be nonzero")
         c0_val = math.copysign(math.sqrt(FOUR_PI), sign)
-        sigma = np.zeros(3)
-        tau = np.zeros(3)
-    elif regime is Regime.ABOVE:
-        if c0 is not None and c0 != 0.0:
-            raise ValueError("above the boundary c0 must vanish")
-        d = _unit_direction(direction if direction is not None else (0.0, 1.0, 0.0))
-        root = math.sqrt(kappa * kappa + 4.0 * kappa + 36.0)
-        sigma_sq = 2.0 * math.pi * (-(kappa + 2.0) + root) / root
-        if sigma_sq <= 0.0:
-            raise ValueError(f"|sigma|^2 cancels to zero at kappa={kappa!r}, so the minimizer cannot be normalized")
-        c0_val = 0.0
+        sigma = tau = np.zeros(3)
+    else:
+        if regime is Regime.ABOVE:
+            if c0 is not None and c0 != 0.0:
+                raise ValueError("above the boundary c0 must vanish")
+            d = _unit_direction(direction)
+            root = math.sqrt(kappa * kappa + 4.0 * kappa + 36.0)
+            sigma_sq = 2.0 * math.pi * (-(kappa + 2.0) + root) / root
+            if sigma_sq <= 0.0:
+                raise ValueError(f"|sigma|^2 cancels to zero at kappa={kappa!r}, so the minimizer cannot be normalized")
+            c0_val = 0.0
+        else:
+            c0_val = float(c0) if c0 is not None else math.sqrt(2.0 * math.pi)
+            sigma_sq = (8.0 * math.pi - 2.0 * c0_val * c0_val) / 3.0
+            if sigma_sq < -1e-12:
+                raise ValueError("c0 too large: 2 c0^2 must not exceed 8 pi")
+            if sigma_sq < 1e-12:  # snap the saturated case to exactly zero
+                sigma_sq = 0.0
+            d = _unit_direction(direction) if sigma_sq > 0.0 else np.zeros(3)
         sigma = math.sqrt(sigma_sq) * d
         tau = _tau_ratio(kappa) * sigma
-    else:
-        c0_val = float(c0) if c0 is not None else math.sqrt(2.0 * math.pi)
-        sigma_sq = (8.0 * math.pi - 2.0 * c0_val * c0_val) / 3.0
-        if sigma_sq < -1e-12:
-            raise ValueError("c0 too large: 2 c0^2 must not exceed 8 pi")
-        if sigma_sq < 1e-12:  # snap the saturated case to exactly zero
-            sigma_sq = 0.0
-        if sigma_sq > 0.0:
-            d = _unit_direction(direction if direction is not None else (0.0, 1.0, 0.0))
-        else:
-            d = np.zeros(3)
-        sigma = math.sqrt(sigma_sq) * d
-        tau = (math.sqrt(2.0) / 2.0) * sigma
 
     coeffs = CoeffSet(1)
     coeffs[(1, 0, 0)] = c0_val
@@ -218,11 +220,9 @@ def membership_check(coeffs: CoeffSet, kappa: float, tol: float) -> bool:
     regime = classify_regime(kappa)
     if regime is Regime.BELOW:
         return bool(np.max(np.abs(sigma)) <= tol and np.max(np.abs(tau)) <= tol)
-    if regime is Regime.ABOVE:
-        if abs(c0) > tol:
-            return False
-        return bool(np.max(np.abs(tau - _tau_ratio(kappa) * sigma)) <= tol)
-    return bool(np.max(np.abs(tau - (math.sqrt(2.0) / 2.0) * sigma)) <= tol)
+    if regime is Regime.ABOVE and abs(c0) > tol:
+        return False
+    return bool(np.max(np.abs(tau - _tau_ratio(kappa) * sigma)) <= tol)
 
 
 def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:

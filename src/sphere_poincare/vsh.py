@@ -25,6 +25,7 @@ from .grid import (
     Grid,
     SampledVectorField,
     _dot3,
+    _live_grid,
     _require_resolution,
     _row_degrees,
     _same_grid,
@@ -261,15 +262,24 @@ def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:
     return blocks[mode.family - 1, 0]
 
 
-def _unit_direction(direction) -> np.ndarray:
-    """Normalize a degree-1 order direction, a 3-vector over j = -1, 0, 1."""
-    d = np.asarray(direction, dtype=float)
+def _unit_direction(direction=None) -> np.ndarray:
+    """Normalize a degree-1 order direction, a 3-vector over j = -1, 0, 1.
+
+    The default is the deterministic j = 0 axis.  A direction whose
+    largest entry lies outside [1e-150, 1e150], where d @ d could
+    overflow or underflow, is divided by that entry first.
+    """
+    d = np.asarray((0.0, 1.0, 0.0) if direction is None else direction, dtype=float)
     if d.shape != (3,):
         raise ValueError("direction must be a 3-vector over orders j = -1, 0, 1")
-    nrm = math.sqrt(float(d @ d))
-    if nrm == 0.0:
+    largest = float(np.max(np.abs(d)))
+    if not math.isfinite(largest):
+        raise ValueError("direction must be finite")
+    if largest == 0.0:
         raise ValueError("direction must be nonzero")
-    return d / nrm
+    if not 1e-150 <= largest <= 1e150:
+        d = d / largest
+    return d / math.sqrt(float(d @ d))
 
 
 class VectorBasis:
@@ -305,11 +315,7 @@ class VectorBasis:
         a *= scale[:, None, None]
         b *= s
         b *= scale[:, None, None]
-        self._y, self._a, self._b = y, a, b
-
-    def _frame_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Y, A and B as ((N+1)^2, nodes) views."""
-        return tuple(table.reshape(len(table), -1) for table in (self._y, self._a, self._b))
+        self._y, self._a, self._b = (table.reshape(len(table), -1) for table in (y, a, b))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -326,10 +332,7 @@ class VectorBasis:
 
     @property
     def grid(self) -> Grid:
-        grid = self._grid()
-        if grid is None:
-            raise ReferenceError("the grid of this basis has been freed; keep a reference to it")
-        return grid
+        return _live_grid(self._grid)
 
     def synthesize(self, coeffs: CoeffSet) -> SampledVectorField:
         if coeffs.band_limit != self.band_limit:
@@ -340,8 +343,7 @@ class VectorBasis:
             return SampledVectorField(grid=grid, values=values)
         # (3, (N+1)^2) in (n, j) order; families 2 and 3 hold zero at n = 0.
         c = coeffs.data[:, _valid_mask(self.band_limit)[0]]
-        y, a, b = self._frame_tables()
-        u_n, a_c, b_c = y.T @ c[0], a.T @ c[1:].T, b.T @ c[1:].T
+        u_n, a_c, b_c = self._y.T @ c[0], self._a.T @ c[1:].T, self._b.T @ c[1:].T
         u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]
         eps_phi, eps_t, normal = grid.frame
         shape = (grid.n_t, grid.n_phi, 1)
@@ -358,9 +360,8 @@ class VectorBasis:
             return CoeffSet.from_vector(self.band_limit, vec)
         eps_phi, eps_t, normal = self.grid.frame
         tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)], axis=1)
-        y, a, b = self._frame_tables()
-        c1 = y @ _dot3(weighted, normal).reshape(-1)
-        a_u, b_u = a @ tangential, b @ tangential
+        c1 = self._y @ _dot3(weighted, normal).reshape(-1)
+        a_u, b_u = self._a @ tangential, self._b @ tangential
         c2, c3 = a_u[:, 0] + b_u[:, 1], a_u[:, 1] - b_u[:, 0]
         return CoeffSet.from_vector(self.band_limit, np.concatenate((c1, c2[1:], c3[1:])))
 

@@ -286,3 +286,27 @@ def test_main_builds_one_parser(tmp_path, monkeypatch):
     for suffix in ("_field.csv", "_coeffs.csv"):
         with open(shared + suffix, "rb") as a, open(fresh + suffix, "rb") as b:
             assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("kappa", ["-4", "1"])
+@pytest.mark.parametrize("scale", ["1e300", "1e-170"])
+def test_minimize_direction_scale_keeps_the_bytes(kappa, scale, tmp_path, capsys):
+    # Squaring 1e300 overflows and 1e-170 underflows; both divide back to (1, 1, 0) exactly.
+    for name, direction in (("unit", ["1", "1", "0"]), ("scaled", [scale, scale, "0"])):
+        argv = ["minimize", f"--kappa={kappa}", "--direction", *direction, "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    for suffix in ("_coeffs.csv", "_field.csv"):
+        assert (tmp_path / f"scaled{suffix}").read_bytes() == (tmp_path / f"unit{suffix}").read_bytes()
+    assert len((tmp_path / "unit_coeffs.csv").read_text().splitlines()) > 2  # the direction is used
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_run_epilogue_prints_writes_and_gives_the_exit_code(as_json, tmp_path, capsys):
+    args = argparse.Namespace(json=as_json)
+    out = tmp_path / "report"
+    for residual, code in ((0.5, 0), (2.0, 1)):
+        assert cli._report(args, 0.0, "c", {"p": 1}, [Check("a", residual, 1.0)], str(out)) == code
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed
+        passed = json.loads(printed)["passed"] if as_json else printed.endswith("result: PASS\n")
+        assert passed == (code == 0)

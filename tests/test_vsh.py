@@ -25,6 +25,7 @@ from sphere_poincare.vsh import (
     ModeIndex,
     VectorBasis,
     _random_tables,
+    _unit_direction,
     _valid_mask,
     analyze,
     eval_vsh,
@@ -499,3 +500,14 @@ def test_to_csv_matches_reference_writer(band, rng, tmp_path):
     coeffs.to_csv(tmp_path / "got.csv")
     _reference_csv(coeffs, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_unit_direction_rescales_only_out_of_range_directions():
+    assert _unit_direction(None).tolist() == [0.0, 1.0, 0.0]
+    assert _unit_direction((3.0, 4.0, 0.0)).tolist() == [0.6, 0.8, 0.0]
+    unit = _unit_direction((1.0, -2.0, 2.0))
+    for scale in (1e300, 1e151, 1e-170, 5e-324):
+        assert _unit_direction(np.array((1.0, -2.0, 2.0)) * scale).tolist() == unit.tolist()
+    for bad in ((0.0, 0.0, 0.0), (np.inf, 0.0, 0.0), (np.nan, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            _unit_direction(bad)

@@ -228,8 +228,8 @@ MUTANTS = (
     Mutant(
         "vsh: tables A and B swapped",
         "src/sphere_poincare/vsh.py",
-        "self._y, self._a, self._b = y, a, b",
-        "self._y, self._a, self._b = y, b, a",
+        "for table in (y, a, b))",
+        "for table in (y, b, a))",
         (_FRAME_ROUTE,),
     ),
     Mutant(
@@ -367,6 +367,43 @@ MUTANTS = (
         "if not (math.isfinite(gam) and",
         "if False and not (math.isfinite(gam) and",
         (_BAD_INPUT,),
+    ),
+    # One definition per relation: the block entries, the boundary ratio, the
+    # default axis, the run epilogue; and the direction rescale.
+    Mutant(
+        "eigensolver: block off-diagonal with its sign flipped",
+        "src/sphere_poincare/eigensolver.py",
+        "-2.0 * np.sqrt(nstar)",
+        "2.0 * np.sqrt(nstar)",
+        ("tests/test_eigensolver.py::test_block_degree1",),
+    ),
+    Mutant(
+        "sharp: boundary tau/sigma ratio sqrt(2)/3",
+        "src/sphere_poincare/sharp.py",
+        "return math.sqrt(2.0) / 2.0",
+        "return math.sqrt(2.0) / 3.0",
+        ("tests/test_sharp.py::test_build_minimizer_critical_family",),
+    ),
+    Mutant(
+        "vsh: default order direction along j = -1",
+        "src/sphere_poincare/vsh.py",
+        "(0.0, 1.0, 0.0) if direction is None",
+        "(1.0, 0.0, 0.0) if direction is None",
+        ("tests/test_eigensolver.py::test_numeric_minimizer_above",),
+    ),
+    Mutant(
+        "cli: a failed run exits 0",
+        "src/sphere_poincare/cli.py",
+        "return 0 if report.passed else 1",
+        "return 0",
+        ("tests/test_cli.py::test_run_epilogue_prints_writes_and_gives_the_exit_code",),
+    ),
+    Mutant(
+        "vsh: direction squared without the rescale",
+        "src/sphere_poincare/vsh.py",
+        "if not 1e-150 <= largest <= 1e150:",
+        "if False:",
+        ("tests/test_cli.py::test_minimize_direction_scale_keeps_the_bytes",),
     ),
     # One PINNED tolerance of each suite loosened tenfold.
     Mutant(
