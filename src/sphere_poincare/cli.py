@@ -158,11 +158,17 @@ def cmd_verify(args) -> int:
 def cmd_minimize(args) -> int:
     start = time.perf_counter()
     kappa = args.kappa
-    regime = classify_regime(kappa)
-    kwargs = {"sign": args.sign} if regime.value == "below" else {"direction": args.direction, "c0": args.c0}
-    _, closed = build_minimizer(kappa, **kwargs)
+    _, closed = build_minimizer(kappa, sign=args.sign, direction=args.direction, c0=args.c0)
     numeric = numeric_minimizer(kappa)
     chosen = closed if args.method == "closed" else numeric
+    tol = args.tol
+    # Checked before any file is written, so a bad tolerance leaves none behind.
+    checks = [
+        Check("closed-equality-residual", abs(equality_residual(closed, kappa)), 1e-10),
+        Check("closed-norm-4pi", abs(norm_sq(closed) - FOUR_PI), 1e-10),
+        _bool_check("closed-membership", membership_check(closed, kappa, tol)),
+        _bool_check("numeric-membership", membership_check(numeric, kappa, tol)),
+    ]
 
     grid = _grid(args.grid)
     field = synthesize(chosen, grid)
@@ -170,17 +176,9 @@ def cmd_minimize(args) -> int:
     field_path = f"{args.out}_field.csv"
     chosen.to_csv(coeff_path)
     export_vector_field_csv(field, field_path)
-
-    tol = args.tol
-    checks = [
-        Check("closed-equality-residual", abs(equality_residual(closed, kappa)), 1e-10),
-        Check("closed-norm-4pi", abs(norm_sq(closed) - FOUR_PI), 1e-10),
-        _bool_check("closed-membership", membership_check(closed, kappa, tol)),
-        _bool_check("numeric-membership", membership_check(numeric, kappa, tol)),
-    ]
     parameters = {
         "kappa": kappa,
-        "regime": regime.value,
+        "regime": classify_regime(kappa).value,
         "gamma": gamma(kappa),
         "method": args.method,
         "membership_tol": tol,
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--direction", nargs=3, type=float, default=None,
         metavar=("D-1", "D0", "D+1"),
     )
-    p_min.add_argument("--sign", type=float, default=1.0)
+    p_min.add_argument("--sign", type=float, default=None, help="below the boundary only (default +1)")
     p_min.add_argument("--c0", type=float, default=None)
     p_min.add_argument("--grid", nargs=2, type=int, default=(16, 33), metavar=("NT", "NPHI"))
     p_min.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")

@@ -47,8 +47,9 @@ _UNIT_TOL = 1e-8
 _ENERGY_INCREASE_TOL = 1e-10
 
 
-def _norms(values: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot3(values, values))
+def _norms(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    squares = _dot3(values, values, out)
+    return np.sqrt(squares, out=squares)
 
 
 def _unit_gap(values: np.ndarray) -> float:
@@ -64,34 +65,69 @@ def _require_unit(u: SampledVectorField) -> None:
 
 def normalize_field(u: SampledVectorField) -> SampledVectorField:
     """Pointwise projection onto the unit sphere."""
-    norms = _norms(u.values)
+    values = u.values.reshape(-1, 3)
+    norms = _norms(values)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a field with zero-length samples")
-    return SampledVectorField(grid=u.grid, values=u.values / norms[..., None])
+    unit = _rows(np.divide, values, norms, np.empty(values.shape))
+    return SampledVectorField(grid=u.grid, values=unit.reshape(u.values.shape))
 
 
 def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVectorField:
     """Pointwise projection of w onto the plane orthogonal to u."""
-    radial = _dot3(w.values, u.values)
-    return SampledVectorField(
-        grid=u.grid, values=w.values - radial[..., None] * u.values
-    )
+    values = w.values.reshape(-1, 3)
+    tangent = _tangent_part(values, u.values.reshape(-1, 3), np.empty(values.shape), _Work(len(values)))
+    return SampledVectorField(grid=u.grid, values=tangent.reshape(w.values.shape))
 
 
 # Flat-array kernels shared by the public diagnostics and the flow loop.
 # Arrays are (nodes, 3) field values and (modes, 3) coefficients of the
 # node-major scalar basis transform; the caller flattens the normal
 # (grid.frame[2]) and the weights and computes u.n once per field.
+# Each kernel writes its intermediates into a _Work, which the flow
+# allocates once per run and a diagnostic once per call.
 
 
-def _energy(basis, coeffs, radial, weights, kappa: float) -> float:
-    return basis.dirichlet(coeffs) + kappa * float(np.sum(weights * radial * radial))
+class _Work:
+    """Preallocated (nodes, 3) and (nodes,) work arrays for one node count."""
+
+    def __init__(self, nodes: int):
+        self.rows = np.empty((nodes, 3))  # a per-node scalar times the rows
+        self.scalar = np.empty(nodes)  # a per-node dot, norm or weighted square
+        self.radial = np.empty(nodes)  # u.n of the current iterate
+        self.pair = np.empty((2, nodes, 3))  # values - normal and values + normal
+        self.pair_dots = np.empty((2, nodes))
 
 
-def _force(basis, coeffs, radial, normal, kappa: float) -> np.ndarray:
+def _rows(op, values: np.ndarray, per_node: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op(values, per_node[:, None]) into ``out``, each row with its node's scalar.
+
+    Through transposed views in C order, so numpy's inner loop runs over
+    the nodes; a (nodes, 1) by (nodes, 3) broadcast steps three elements
+    at a time.  Multiplication commutes, so the products are the bits of
+    ``per_node[:, None] * values`` too.
+    """
+    op(values.T, per_node, out=out.T, order="C")
+    return out
+
+
+def _tangent_part(w: np.ndarray, u: np.ndarray, out: np.ndarray, work: _Work) -> np.ndarray:
+    """w - (w.u) u, row by row, into ``out`` (which may be w)."""
+    radial = _dot3(w, u, work.scalar)
+    return np.subtract(w, _rows(np.multiply, u, radial, work.rows), out=out)
+
+
+def _energy(basis, coeffs, radial, weights, kappa: float, work: _Work) -> float:
+    weighted = np.multiply(weights, radial, out=work.scalar)
+    weighted *= radial
+    return basis.dirichlet(coeffs) + kappa * float(np.add.reduce(weighted))
+
+
+def _force(basis, coeffs, radial, normal, kappa: float, work: _Work) -> np.ndarray:
     """Half the energy gradient: -lap u + kappa (u.n) n, the Laplacian band-truncated."""
     lap = basis.synthesize(basis.eigenvalues[:, None] * coeffs)
-    return lap + kappa * radial[:, None] * normal
+    lap += _rows(np.multiply, normal, np.multiply(radial, kappa, out=work.scalar), work.rows)
+    return lap
 
 
 def _cross_columns(values, force) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,12 +137,16 @@ def _cross_columns(values, force) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v1 * f2 - v2 * f1, v2 * f0 - v0 * f2, v0 * f1 - v1 * f0
 
 
-def _distances(values, normal, weights) -> tuple[float, float]:
-    plus, minus = values - normal, values + normal
-    d_plus = math.sqrt(float(np.sum(weights * _dot3(plus, plus))))
-    d_minus = math.sqrt(float(np.sum(weights * _dot3(minus, minus))))
+def _distances(values, normal, weights, work: _Work) -> tuple[float, float]:
+    """Both distances in one pass over the stacked values -+ normal."""
+    plus, minus = work.pair
+    np.subtract(values, normal, out=plus)
+    np.add(values, normal, out=minus)
+    squares = _dot3(work.pair, work.pair, work.pair_dots)
+    squares *= weights
+    sum_plus, sum_minus = np.add.reduce(squares, axis=-1)
     scale = math.sqrt(FOUR_PI)
-    return d_plus / scale, d_minus / scale
+    return math.sqrt(sum_plus) / scale, math.sqrt(sum_minus) / scale
 
 
 def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> SampledVectorField:
@@ -116,7 +156,7 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     basis = scalar_basis(u.grid, band_limit)
     values = u.values.reshape(-1, 3)
     normal = u.grid.frame[2].reshape(-1, 3)
-    force = _force(basis, basis.analyze(values), _dot3(values, normal), normal, kappa)
+    force = _force(basis, basis.analyze(values), _dot3(values, normal), normal, kappa, _Work(len(values)))
     residual = np.stack(_cross_columns(values, force), axis=-1)
     return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
 
@@ -151,12 +191,14 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
         _dot3(values, u.grid.frame[2].reshape(-1, 3)),
         u.grid.weights.reshape(-1),
         kappa,
+        _Work(len(values)),
     )
 
 
 def distance_to_normals(u: SampledVectorField) -> tuple[float, float]:
     """L2 distances to +normal and -normal, each normalized by sqrt(4 pi)."""
-    return _distances(u.values.reshape(-1, 3), u.grid.frame[2].reshape(-1, 3), u.grid.weights.reshape(-1))
+    values = u.values.reshape(-1, 3)
+    return _distances(values, u.grid.frame[2].reshape(-1, 3), u.grid.weights.reshape(-1), _Work(len(values)))
 
 
 @dataclass
@@ -195,12 +237,18 @@ class FlowResult:
         return max(min(r.dist_plus, r.dist_minus) for r in self.records)
 
 
-def _record(step, time, energy, values, force, normal, weights) -> FlowRecord:
+def _record(step, time, energy, values, force, normal, weights, work: _Work) -> FlowRecord:
     """Trajectory row of an accepted iterate, given its force."""
     r0, r1, r2 = _cross_columns(values, force)
-    # Squares are never -0.0, so this sum needs no + 0.0 to be np.sum's.
-    residual_max = float(np.max(np.sqrt(r0 * r0 + r1 * r1 + r2 * r2)))
-    return FlowRecord(step, time, energy, *_distances(values, normal, weights), residual_max)
+    # Squares are never -0.0, so their sum needs no + 0.0 to be np.sum's;
+    # sqrt is monotone, so the root of the largest one is the largest norm.
+    r0 *= r0
+    r1 *= r1
+    r0 += r1
+    r2 *= r2
+    r0 += r2
+    residual_max = math.sqrt(np.maximum.reduce(r0))
+    return FlowRecord(step, time, energy, *_distances(values, normal, weights, work), residual_max)
 
 
 def gradient_flow(
@@ -245,24 +293,27 @@ def gradient_flow(
     shape = u0.values.shape
 
     u = normalize_field(u0).values.reshape(-1, 3)
+    work = _Work(len(u))
+    grad = np.empty_like(u)
     coeffs = basis.analyze(u)
-    radial = _dot3(u, normal)
-    energy = _energy(basis, coeffs, radial, weights, kappa)
+    radial = _dot3(u, normal, work.radial)
+    energy = _energy(basis, coeffs, radial, weights, kappa, work)
     # One force per accepted iterate serves its record and the next step;
     # the gradient is exactly twice it, as scaling by 2 is exact.
-    force = _force(basis, coeffs, radial, normal, kappa)
+    force = _force(basis, coeffs, radial, normal, kappa, work)
 
-    records = [_record(0, 0.0, energy, u, force, normal, weights)]
+    records = [_record(0, 0.0, energy, u, force, normal, weights, work)]
     for step in range(1, steps + 1):
-        grad = 2.0 * force
-        grad -= _dot3(grad, u)[:, None] * u
-        candidate = u - dt * grad
+        np.multiply(force, 2.0, out=grad)
+        _tangent_part(grad, u, grad, work)
+        grad *= dt
+        candidate = np.subtract(u, grad, out=grad)
         # Galerkin projection onto the resolved band before renormalizing.
         candidate = basis.synthesize(basis.analyze(candidate))
-        candidate /= _norms(candidate)[:, None]
+        _rows(np.divide, candidate, _norms(candidate, work.scalar), candidate)
         coeffs = basis.analyze(candidate)
-        radial = _dot3(candidate, normal)
-        new_energy = _energy(basis, coeffs, radial, weights, kappa)
+        radial = _dot3(candidate, normal, work.radial)
+        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)
         if not new_energy <= energy + _ENERGY_INCREASE_TOL:  # a NaN energy aborts too
             if not math.isfinite(new_energy):
                 raise RuntimeError(f"energy is {new_energy} at step {step}; the iterate is no longer finite")
@@ -271,9 +322,9 @@ def gradient_flow(
                 "dt too large for this band limit"
             )
         u, energy = candidate, new_energy
-        force = _force(basis, coeffs, radial, normal, kappa)
+        force = _force(basis, coeffs, radial, normal, kappa, work)
         if step % record_every == 0 or step == steps:
-            records.append(_record(step, step * dt, energy, u, force, normal, weights))
+            records.append(_record(step, step * dt, energy, u, force, normal, weights, work))
 
     final = SampledVectorField(grid=grid, values=u.reshape(shape))
     return FlowResult(kappa, dt, band_limit, records, FlowState(field=final, step=steps))

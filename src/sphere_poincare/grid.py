@@ -157,15 +157,18 @@ def _same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise dot product over the trailing length-3 axis.
+def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise dot product over the trailing length-3 axis, into ``out`` if given.
 
     Bytes equal to ``np.sum(a * b, axis=-1)`` without its reduction
     overhead: the sum starts from +0.0, hence the trailing ``+ 0.0``,
     which turns a sum of three -0.0 products into +0.0.
     """
     p = a * b
-    return p[..., 0] + p[..., 1] + p[..., 2] + 0.0
+    out = np.add(p[..., 0], p[..., 1], out=out)
+    out += p[..., 2]
+    out += 0.0
+    return out
 
 
 def integrate(f: SampledScalarField) -> float:
@@ -308,7 +311,9 @@ class ScalarBasis:
 
     def dirichlet(self, coeffs: np.ndarray) -> float:
         """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes, k)."""
-        return float(np.sum(self.eigenvalues[:, None] * coeffs * coeffs))
+        terms = self.eigenvalues[:, None] * coeffs
+        terms *= coeffs
+        return float(np.add.reduce(terms, axis=None))
 
 
 def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:

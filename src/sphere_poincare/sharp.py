@@ -125,16 +125,17 @@ def _tau_ratio(kappa: float) -> float:
 
 def build_minimizer(
     kappa: float,
-    sign: float = 1.0,
+    sign: float | None = None,
     direction=None,
     c0: float | None = None,
 ) -> tuple[MinimizerSpec, CoeffSet]:
     """Construct an equality-family member for the given regime.
 
     Free parameters: ``sign`` picks the normal orientation below the
-    boundary; ``direction`` picks the degenerate order direction above
-    it (magnitude is forced); at the boundary ``c0`` and ``direction``
-    mix the two families subject to 2 c0^2 + 3 |sigma|^2 = 8 pi.
+    boundary (default +1); ``direction`` picks the degenerate order
+    direction above it (magnitude is forced); at the boundary ``c0`` and
+    ``direction`` mix the two families subject to 2 c0^2 + 3 |sigma|^2 = 8 pi.
+    A sign from the boundary up, or a direction or c0 below it, is an error.
     """
     regime = classify_regime(kappa)
     if regime is Regime.BELOW:
@@ -142,9 +143,11 @@ def build_minimizer(
             raise ValueError("below the boundary only the sign is free")
         if sign == 0.0:
             raise ValueError("sign must be nonzero")
-        c0_val = math.copysign(math.sqrt(FOUR_PI), sign)
+        c0_val = math.copysign(math.sqrt(FOUR_PI), 1.0 if sign is None else sign)
         sigma = tau = np.zeros(3)
     else:
+        if sign is not None:
+            raise ValueError("the sign is free only below the boundary")
         if regime is Regime.ABOVE:
             if c0 is not None and c0 != 0.0:
                 raise ValueError("above the boundary c0 must vanish")
@@ -208,6 +211,8 @@ def membership_check(coeffs: CoeffSet, kappa: float, tol: float) -> bool:
     hold.  The input must already be normalized.
     """
     _require_finite(kappa)
+    if not tol >= 0.0:
+        raise ValueError(f"membership tolerance must be non-negative, got {tol!r}")
     _require_normalized(coeffs)
     leak = np.abs(coeffs.data)
     leak[:2, :2] = 0.0  # the support: families 1 and 2 at degrees 0 and 1

@@ -214,6 +214,12 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["minimize", "--kappa", "1e154", "--out", "{tmp}/m"], None),
         (["gamma", "--kappa", "1e300", "--out", "{tmp}/g.csv"], None),
         (["gamma", "--kappa=-1e300"], None),
+        # A negative membership tolerance, and options the regime does not use.
+        (["minimize", "--kappa", "1", "--tol=-1", "--out", "{tmp}/r"], None),
+        (["minimize", "--kappa=-8", "--direction", "1", "0", "0", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=-8", "--c0", "0.3", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa", "1", "--sign=-1", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=-4", "--sign", "1", "--out", "{tmp}/m"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):

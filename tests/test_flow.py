@@ -299,7 +299,9 @@ def _reference_flow(u0, kappa, dt, steps, band_limit, record_every):
 
 @pytest.mark.parametrize("kappa", [-1.0, 1.0])
 @pytest.mark.parametrize(
-    "band, dt, steps, record_every", [(4, 0.02, 300, 1), (8, 0.01, 400, 25)]
+    "band, dt, steps, record_every",
+    # The last case is the band-8 probe that the benchmark and the digest run, on 18 x 35.
+    [(4, 0.02, 300, 1), (8, 0.01, 400, 25), (8, 0.5 / 72, 432, 1)],
 )
 def test_flow_matches_reference_loop_bitwise(kappa, band, dt, steps, record_every):
     grid = verification_grid(band)
@@ -308,6 +310,18 @@ def test_flow_matches_reference_loop_bitwise(kappa, band, dt, steps, record_ever
     records, final = _reference_flow(u0, kappa, dt, steps, band, record_every)
     assert result.records == records
     assert np.array_equal(result.state.field.values, final)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 2.0])
+@pytest.mark.parametrize("band, dt, steps, record_every", [(4, 0.02, 100, 1), (8, 0.5 / 72, 60, 7)])
+def test_flow_from_the_unperturbed_normal_matches_reference_loop_bitwise(kappa, band, dt, steps, record_every):
+    # The start of `flow --perturb 0`: a stationary iterate, whose tangential
+    # parts and residuals are zeros, so the field is compared with its signs.
+    u0 = _perturbed_normal(verification_grid(band), 0.0)
+    result = gradient_flow(u0, kappa, dt, steps, band, record_every)
+    records, final = _reference_flow(u0, kappa, dt, steps, band, record_every)
+    assert result.records == records
+    assert result.state.field.values.tobytes() == final.tobytes()
 
 
 @pytest.mark.parametrize("kappa", [-1.5, 0.0, 1.2])

@@ -138,6 +138,21 @@ def test_build_minimizer_above_rejects_bad_params():
         build_minimizer(6.0, c0=1.0)
 
 
+@pytest.mark.parametrize("kappa", [-4.0, 6.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_build_minimizer_rejects_a_sign_from_the_boundary_up(kappa, sign):
+    with pytest.raises(ValueError, match="sign is free only below"):
+        build_minimizer(kappa, sign=sign)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, -1.0, math.nan])
+def test_membership_check_rejects_a_negative_tolerance(tol):
+    _, coeffs = build_minimizer(6.0)
+    with pytest.raises(ValueError, match="membership tolerance"):
+        membership_check(coeffs, 6.0, tol)
+    assert membership_check(coeffs, 6.0, 1e-8)
+
+
 def test_build_minimizer_critical_family():
     # c0 = 2 sqrt(pi) saturates 2 c0^2 = 8 pi: pure radial member, g = -8 pi.
     spec, coeffs = build_minimizer(-4.0, c0=2.0 * math.sqrt(math.pi))

@@ -61,8 +61,8 @@ MUTANTS = (
     Mutant(
         "grid: dirichlet without the eigenvalues",
         "src/sphere_poincare/grid.py",
-        "return float(np.sum(self.eigenvalues[:, None] * coeffs * coeffs))",
-        "return float(np.sum(coeffs * coeffs))",
+        "terms = self.eigenvalues[:, None] * coeffs",
+        "terms = 1.0 * coeffs",
         ("tests/test_grid.py::test_dirichlet_scalar_route_normal_field",),
     ),
     Mutant(
@@ -177,23 +177,23 @@ MUTANTS = (
     Mutant(
         "flow: stale radial part after a step",
         "src/sphere_poincare/flow.py",
-        "radial = _dot3(candidate, normal)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa)",
-        "new_energy = _energy(basis, coeffs, _dot3(candidate, normal), weights, kappa)",
+        "radial = _dot3(candidate, normal, work.radial)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
+        "new_energy = _energy(basis, coeffs, _dot3(candidate, normal), weights, kappa, work)",
         (_REFERENCE_FLOW,),
     ),
     # The lean flow step.
     Mutant(
         "grid: _dot3 without + 0.0",
         "src/sphere_poincare/grid.py",
-        "return p[..., 0] + p[..., 1] + p[..., 2] + 0.0",
-        "return p[..., 0] + p[..., 1] + p[..., 2]",
+        "    out += 0.0\n",
+        "",
         ("tests/test_grid.py::test_dot3_bytes_are_the_summed_products",),
     ),
     Mutant(
         "flow: grad = force",
         "src/sphere_poincare/flow.py",
-        "grad = 2.0 * force",
-        "grad = force",
+        "np.multiply(force, 2.0, out=grad)",
+        "np.copyto(grad, force)",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
@@ -206,8 +206,44 @@ MUTANTS = (
     Mutant(
         "flow: _distances uses values - normal twice",
         "src/sphere_poincare/flow.py",
-        "plus, minus = values - normal, values + normal",
-        "plus, minus = values - normal, values - normal",
+        "np.add(values, normal, out=minus)",
+        "np.subtract(values, normal, out=minus)",
+        (_REFERENCE_FLOW,),
+    ),
+    # The buffered flow step and record.
+    Mutant(
+        "flow: distances reduced over the stacked pair, not over the nodes",
+        "src/sphere_poincare/flow.py",
+        "np.add.reduce(squares, axis=-1)",
+        "np.add.reduce(squares, axis=0)[:2]",
+        (_REFERENCE_FLOW,),
+    ),
+    Mutant(
+        "flow: the doubling folded into dt",
+        "src/sphere_poincare/flow.py",
+        "np.multiply(force, 2.0, out=grad)\n        _tangent_part(grad, u, grad, work)\n        grad *= dt\n",
+        "np.copyto(grad, force)\n        _tangent_part(grad, u, grad, work)\n        grad *= 2.0 * dt\n",
+        ("tests/test_flow.py::test_flow_aborts_on_a_rising_or_non_finite_energy",),
+    ),
+    Mutant(
+        "flow: a record writes u - n over the iterate the next step reads",
+        "src/sphere_poincare/flow.py",
+        "np.subtract(values, normal, out=plus)",
+        "np.subtract(values, normal, out=values)\n    np.copyto(plus, values)",
+        (_REFERENCE_FLOW,),
+    ),
+    Mutant(
+        "flow: the energy's weighted squares written over u.n before the force reads it",
+        "src/sphere_poincare/flow.py",
+        "weighted = np.multiply(weights, radial, out=work.scalar)",
+        "weighted = np.multiply(weights, radial, out=radial)",
+        (_REFERENCE_FLOW,),
+    ),
+    Mutant(
+        "flow: per-node broadcasts with a row's scalar taken from the wrong node",
+        "src/sphere_poincare/flow.py",
+        'op(values.T, per_node, out=out.T, order="C")',
+        'op(values.T, per_node[::-1], out=out.T, order="C")',
         (_REFERENCE_FLOW,),
     ),
     Mutant(
@@ -404,6 +440,21 @@ MUTANTS = (
         "if not 1e-150 <= largest <= 1e150:",
         "if False:",
         ("tests/test_cli.py::test_minimize_direction_scale_keeps_the_bytes",),
+    ),
+    # Each minimize option used only by its regime; a non-negative tolerance.
+    Mutant(
+        "sharp: a sign accepted from the boundary up",
+        "src/sphere_poincare/sharp.py",
+        "        if sign is not None:\n",
+        "        if False:\n",
+        (_BAD_INPUT,),
+    ),
+    Mutant(
+        "sharp: a negative membership tolerance accepted",
+        "src/sphere_poincare/sharp.py",
+        "if not tol >= 0.0:",
+        "if False:",
+        (_BAD_INPUT,),
     ),
     # One PINNED tolerance of each suite loosened tenfold.
     Mutant(
