@@ -66,7 +66,10 @@ def _require_unit(u: SampledVectorField) -> None:
 def normalize_field(u: SampledVectorField) -> SampledVectorField:
     """Pointwise projection onto the unit sphere."""
     values = u.values.reshape(-1, 3)
-    norms = _norms(values)
+    with np.errstate(over="ignore"):
+        norms = _norms(values)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("cannot normalize a field whose sample lengths overflow or are not finite")
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a field with zero-length samples")
     unit = _rows(np.divide, values, norms, np.empty(values.shape))

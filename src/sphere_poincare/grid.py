@@ -310,7 +310,8 @@ class ScalarBasis:
         return values.reshape(n_phi, n_t, k).swapaxes(0, 1).reshape((-1,) + coeffs.shape[1:])
 
     def dirichlet(self, coeffs: np.ndarray) -> float:
-        """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes, k)."""
+        """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes,) or (modes, k)."""
+        coeffs = coeffs.reshape(len(self.eigenvalues), -1)
         terms = self.eigenvalues[:, None] * coeffs
         terms *= coeffs
         return float(np.add.reduce(terms, axis=None))

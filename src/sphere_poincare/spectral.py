@@ -16,6 +16,7 @@ oracle.  The two are never mixed inside one computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,17 @@ def _relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _worst(violations) -> float:
+    """The largest of ``violations`` (numbers or arrays); 0.0 if none is positive, NaN if any is NaN.
+
+    Python's ``max`` drops a NaN unless it comes first; this does not.
+    Every item is consumed in order, so a generator's draws keep their
+    order in the random stream.
+    """
+    peaks = [float(np.max(v, initial=0.0)) if isinstance(v, np.ndarray) else float(v) for v in violations]
+    return math.nan if any(map(math.isnan, peaks)) else max([0.0, *peaks])
+
+
 def energy_report(subject, kappa: float, band_limit: int | None = None) -> EnergyBreakdown:
     """EnergyBreakdown of a coefficient table or a sampled field.
 
@@ -180,9 +192,9 @@ def _energy_reports(subject, kappas, band_limit: int | None = None) -> list[Ener
     )
     for report, quad in zip(reports, quadrature):
         report.quadrature = quad
-        report.route_gap = max(
+        report.route_gap = _worst((
             _relative_gap(report.dirichlet, quad.dirichlet),
             _relative_gap(report.anisotropy, quad.anisotropy),
             _relative_gap(report.total, quad.total),
-        )
+        ))
     return reports

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import eigensolver, sharp, spectral, vsh
 from .grid import FOUR_PI, dirichlet_energy_scalar_route, normal_field, verification_grid
+from .spectral import _worst
 from .vsh import CoeffSet, random_coeffs
 
 __all__ = ["Check", "SUITES", "run_suite"]
@@ -63,12 +64,9 @@ def suite_orthonormality(seed: int) -> list[Check]:
     )
 
     grid4 = verification_grid(4)
-    worst = 0.0
-    for _ in range(50):
-        coeffs = random_coeffs(4, rng)
-        back = vsh.analyze(vsh.synthesize(coeffs, grid4), 4)
-        worst = max(worst, float(np.max(np.abs(back.data - coeffs.data))))
-    checks.append(Check("analyze-synthesize-roundtrip-band4", worst, 1e-11))
+    drawn = (random_coeffs(4, rng) for _ in range(50))
+    errors = (np.abs(vsh.analyze(vsh.synthesize(c, grid4), 4).data - c.data) for c in drawn)
+    checks.append(Check("analyze-synthesize-roundtrip-band4", _worst(errors), 1e-11))
     return checks
 
 
@@ -76,28 +74,26 @@ def suite_energy_routes(seed: int) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = []
 
-    worst = 0.0
-    for data in _draw_blocks(1000, 4, rng):
+    def identity_gaps(data):
         lhs = spectral._g_kappa(data, -3.7)
         rhs = spectral._dirichlet(data) - 3.7 * spectral._anisotropy(data)
-        gaps = np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-        worst = max(worst, float(gaps.max()))
-    checks.append(Check("g-kappa-identity", worst, 1e-12))
+        return np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+
+    gaps = map(identity_gaps, _draw_blocks(1000, 4, rng))
+    checks.append(Check("g-kappa-identity", _worst(gaps), 1e-12))
 
     grid = verification_grid(4)
-    worst = 0.0
-    worst_parseval = 0.0
-    for _ in range(100):
-        coeffs = random_coeffs(4, rng)
-        field = vsh.synthesize(coeffs, grid)
-        reports = spectral._energy_reports(field, (-8.0, -4.0, 0.0, 6.0), band_limit=4)
-        worst = max(worst, *(report.route_gap for report in reports))
-        worst_parseval = max(
-            worst_parseval,
-            abs(spectral.norm_sq(coeffs) - reports[0].quadrature.norm_sq),
-        )
-    checks.append(Check("route-equivalence-band4", worst, 1e-8))
-    checks.append(Check("parseval-band4", worst_parseval, 1e-10))
+    drawn = [random_coeffs(4, rng) for _ in range(100)]
+    reports = [
+        spectral._energy_reports(vsh.synthesize(c, grid), (-8.0, -4.0, 0.0, 6.0), band_limit=4)
+        for c in drawn
+    ]
+    route_gaps = (report.route_gap for field in reports for report in field)
+    checks.append(Check("route-equivalence-band4", _worst(route_gaps), 1e-8))
+    parseval_gaps = (
+        abs(spectral.norm_sq(c) - field[0].quadrature.norm_sq) for c, field in zip(drawn, reports)
+    )
+    checks.append(Check("parseval-band4", _worst(parseval_gaps), 1e-10))
 
     normal = normal_field(grid)
     checks.append(
@@ -125,30 +121,29 @@ def suite_inequality(seed: int) -> list[Check]:
 
     kappas = np.linspace(-10.0, 10.0, 20)
     bounds = np.array([FOUR_PI * sharp.gamma(float(kappa)) for kappa in kappas])
-    worst = -np.inf
-    for data in _draw_blocks(1000, 6, rng, norm_sq=FOUR_PI):
-        dirichlet = spectral._dirichlet(data)[:, None]
-        aniso = spectral._anisotropy(data)[:, None]
-        margins = (dirichlet + kappas * aniso) - bounds
-        worst = max(worst, np.max(-margins))
-    checks.append(Check("poincare-lower-bound", max(worst, 0.0), 1e-9))
+    deficits = (
+        bounds - (spectral._dirichlet(data)[:, None] + kappas * spectral._anisotropy(data)[:, None])
+        for data in _draw_blocks(1000, 6, rng, norm_sq=FOUR_PI)
+    )
+    checks.append(Check("poincare-lower-bound", _worst(deficits), 1e-9))
 
     shifted_kappas = np.array([-8.0, -4.0, -1.0, -0.25])
     constants = np.array([sharp.shifted_constant(float(kappa)) for kappa in shifted_kappas])
-    worst = -np.inf
-    for data in _draw_blocks(200, 6, rng, norm_sq=FOUR_PI):
+
+    def rewritten_deficits(data):
         dirichlet = spectral._dirichlet(data)[:, None]
         aniso = spectral._anisotropy(data)[:, None]
         nrm = spectral._norm_sq(data)[:, None]
-        lhs = dirichlet + np.abs(shifted_kappas) * (nrm - aniso)
-        worst = max(worst, np.max(constants * nrm - lhs))
-    checks.append(Check("rewritten-form-negative-kappa", max(worst, 0.0), 1e-9))
+        return constants * nrm - (dirichlet + np.abs(shifted_kappas) * (nrm - aniso))
 
-    worst = -np.inf
-    for data in _draw_blocks(500, 6, rng, families=(2, 3), norm_sq=FOUR_PI):
-        margins = spectral._dirichlet(data) - 2.0 * spectral._norm_sq(data)
-        worst = max(worst, np.max(-margins))
-    checks.append(Check("tangential-lower-bound", max(worst, 0.0), 1e-9))
+    deficits = map(rewritten_deficits, _draw_blocks(200, 6, rng, norm_sq=FOUR_PI))
+    checks.append(Check("rewritten-form-negative-kappa", _worst(deficits), 1e-9))
+
+    deficits = (
+        2.0 * spectral._norm_sq(data) - spectral._dirichlet(data)
+        for data in _draw_blocks(500, 6, rng, families=(2, 3), norm_sq=FOUR_PI)
+    )
+    checks.append(Check("tangential-lower-bound", _worst(deficits), 1e-9))
 
     equal = CoeffSet(1)
     equal[(2, 1, 0)] = math.sqrt(FOUR_PI)
@@ -191,48 +186,34 @@ def suite_equality(seed: int) -> list[Check]:
     # Both one-sided families survive at the boundary.
     _, below_style = sharp.build_minimizer(-4.0, c0=math.sqrt(FOUR_PI))
     _, above_style = sharp.build_minimizer(-4.0, c0=0.0)
-    boundary = max(
-        abs(sharp.equality_residual(below_style, -4.0)),
-        abs(sharp.equality_residual(above_style, -4.0)),
-    )
+    boundary = _worst(abs(sharp.equality_residual(c, -4.0)) for c in (below_style, above_style))
     checks.append(Check("boundary-coexistence-kappa=-4", boundary, 1e-9))
     return checks
 
 
 def suite_lemma(seed: int) -> list[Check]:
-    checks = []
-    kappas = np.linspace(-50.0, 50.0, 201)
-
-    u3_leak = 0.0
-    high_leak = 0.0
-    sign_defect = 0.0
-    argmin_excess = 0
-    for kappa in kappas:
-        kappa = float(kappa)
+    u3_leaks, high_leaks, sign_defects, argmin_excesses = [], [], [], []
+    for kappa in map(float, np.linspace(-50.0, 50.0, 201)):
         _, winners = eigensolver.gamma_numeric(kappa, n_max=30)
-        argmin_excess = max(argmin_excess, max(n for n, _ in winners) - 1)
-        if any(kind == "u3" for _, kind in winners):
-            argmin_excess = max(argmin_excess, 1)
+        argmin_excesses += [n - 1 for n, _ in winners] + [1 for _, kind in winners if kind == "u3"]
         coeffs = eigensolver._minimizer_from_channels(kappa, winners)
-        u3_leak = max(u3_leak, float(np.max(np.abs(coeffs.data[2]))))
-        if coeffs.band_limit >= 2:
-            high_leak = max(high_leak, float(np.max(np.abs(coeffs.data[:, 2:, :]))))
+        u3_leaks.append(np.abs(coeffs.data[2]))
+        high_leaks.append(np.abs(coeffs.data[:, 2:, :]))
         for j in (-1, 0, 1):
             u1, u2 = coeffs[(1, 1, j)], coeffs[(2, 1, j)]
             if abs(u1) > 1e-12 or abs(u2) > 1e-12:
-                sign_defect = max(sign_defect, -u1 * u2)
-    checks.append(Check("minimizer-u3-channel-zero", u3_leak, 1e-12))
-    checks.append(Check("minimizer-no-degree>=2", high_leak, 1e-12))
-    checks.append(Check("minimizer-sign-agreement", max(sign_defect, 0.0), 1e-12))
-    checks.append(Check("argmin-degree<=1", float(argmin_excess), 0.0))
-
-    worst = 0.0
-    for kappa in np.linspace(-20.0, 20.0, 200):
-        kappa = float(kappa)
-        value, _ = eigensolver.gamma_numeric(kappa, n_max=20)
-        worst = max(worst, abs(value - sharp.gamma(kappa)))
-    checks.append(Check("gamma-closed-vs-numeric", worst, 1e-12))
-    return checks
+                sign_defects.append(-u1 * u2)
+    gaps = (
+        abs(eigensolver.gamma_numeric(kappa, n_max=20)[0] - sharp.gamma(kappa))
+        for kappa in map(float, np.linspace(-20.0, 20.0, 200))
+    )
+    return [
+        Check("minimizer-u3-channel-zero", _worst(u3_leaks), 1e-12),
+        Check("minimizer-no-degree>=2", _worst(high_leaks), 1e-12),
+        Check("minimizer-sign-agreement", _worst(sign_defects), 1e-12),
+        Check("argmin-degree<=1", _worst(argmin_excesses), 0.0),
+        Check("gamma-closed-vs-numeric", _worst(gaps), 1e-12),
+    ]
 
 
 SUITES = {

@@ -220,6 +220,13 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["minimize", "--kappa=-8", "--c0", "0.3", "--out", "{tmp}/m"], None),
         (["minimize", "--kappa", "1", "--sign=-1", "--out", "{tmp}/m"], None),
         (["minimize", "--kappa=-4", "--sign", "1", "--out", "{tmp}/m"], None),
+        # A perturbation whose squared length, or the perturbation itself, overflows.
+        (["flow", "--kappa", "1", "--perturb", "1e300", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--perturb", "1.7e308", "--out", "{tmp}/t.csv"], None),
+        # More than 1,000,000 trajectory rows.
+        (["flow", "--kappa", "1", "--steps", "1000000000", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--steps", "1000000", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--steps", "9999991", "--record-every", "10", "--out", "{tmp}/t.csv"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
@@ -243,6 +250,32 @@ def test_flow_with_a_non_finite_energy_exits_2_without_a_trajectory(tmp_path, ca
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error: energy is nan at step 2")
     assert not out.exists()
+
+
+# Rows: step 0, every record_every-th step and the last step.
+@pytest.mark.parametrize(
+    "steps, record_every, rows",
+    [
+        (432, 1, 433),
+        (2500, 1, 2501),
+        (999_999, 1, 1_000_000),
+        (1_000_000, 1, 1_000_001),
+        (9_999_990, 10, 1_000_000),
+        (9_999_981, 10, 1_000_000),
+        (9_999_991, 10, 1_000_001),
+        (999_999_000, 1000, 1_000_000),
+        (1_000_000_000, 1000, 1_000_001),
+    ],
+)
+def test_flow_keeps_at_most_one_million_rows(steps, record_every, rows, tmp_path, capsys, monkeypatch):
+    def reached(sizes):
+        raise RuntimeError("grid reached")
+
+    monkeypatch.setattr(cli, "_grid", reached)  # accepted runs stop before the grid
+    argv = ["flow", "--kappa", "1", "--steps", str(steps), "--record-every", str(record_every)]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (err == "error: grid reached\n") == (rows <= 1_000_000)
 
 
 def test_max_residual_keeps_a_nan():

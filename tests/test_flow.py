@@ -70,6 +70,23 @@ def test_el_residual_rejects_non_unit():
         el_residual(u, 0.0, 2)
 
 
+def test_normalize_field_keeps_the_bits_of_finite_input():
+    grid = build_grid(6, 11)
+    scales = 10.0 ** np.linspace(-150, 150, 66).reshape(6, 11, 1)
+    values = np.random.default_rng(3).standard_normal((6, 11, 3)) * scales
+    expected = values / np.sqrt(np.sum(values * values, axis=-1))[..., None]
+    assert normalize_field(SampledVectorField(grid=grid, values=values)).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("length", [1e300, math.inf, math.nan])
+def test_normalize_field_names_a_sample_whose_length_is_not_finite(length):
+    grid = build_grid(6, 11)
+    values = normal_field(grid).values.copy()
+    values[2, 3] = (0.0, length, 0.0)
+    with pytest.raises(ValueError, match="overflow or are not finite"):
+        normalize_field(SampledVectorField(grid=grid, values=values))
+
+
 @pytest.mark.parametrize("kappa", [-2.0, 1.0, 6.0])
 def test_second_variation_closed_value(kappa):
     grid = verification_grid(4)

@@ -351,6 +351,21 @@ def test_separable_route_roundtrip_up_to_max_degree(band):
     assert sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray)) < 16 * 2**20
 
 
+# Band 4 runs the dense table, band 12 the separable route.
+@pytest.mark.parametrize("band", [4, 12])
+def test_dirichlet_takes_the_coefficient_vector_analyze_returns(band):
+    grid = verification_grid(band)
+    basis = ScalarBasis(grid, band)
+    samples = np.random.default_rng(band).standard_normal(grid.n_nodes)
+    coeffs = basis.analyze(samples)
+    assert coeffs.shape == (len(basis.degrees),)
+    column = basis.dirichlet(basis.analyze(samples[:, None]))
+    assert basis.dirichlet(coeffs) == column
+    assert column == pytest.approx(float(np.sum(basis.eigenvalues * coeffs * coeffs)), rel=1e-13)
+    stacked = np.stack([coeffs, 2.0 * coeffs], axis=1)
+    assert basis.dirichlet(stacked) == pytest.approx(5.0 * column, rel=1e-13)
+
+
 def test_dirichlet_scalar_route_normal_field():
     grid = build_grid(8, 17)
     assert_allclose(

@@ -163,8 +163,8 @@ MUTANTS = (
     Mutant(
         "suites: four energy_report calls per field",
         "src/sphere_poincare/suites.py",
-        "reports = spectral._energy_reports(field, (-8.0, -4.0, 0.0, 6.0), band_limit=4)",
-        "reports = [spectral.energy_report(field, k, band_limit=4) for k in (-8.0, -4.0, 0.0, 6.0)]",
+        "spectral._energy_reports(vsh.synthesize(c, grid), (-8.0, -4.0, 0.0, 6.0), band_limit=4)",
+        "[spectral.energy_report(vsh.synthesize(c, grid), k, band_limit=4) for k in (-8.0, -4.0, 0.0, 6.0)]",
         ("tests/test_suites.py::test_energy_routes_analyzes_each_field_once",),
     ),
     Mutant(
@@ -285,8 +285,8 @@ MUTANTS = (
     Mutant(
         "suites: 900 instead of 1000 g-kappa draws",
         "src/sphere_poincare/suites.py",
-        "for data in _draw_blocks(1000, 4, rng):",
-        "for data in _draw_blocks(900, 4, rng):",
+        "map(identity_gaps, _draw_blocks(1000, 4, rng))",
+        "map(identity_gaps, _draw_blocks(900, 4, rng))",
         ("tests/test_suites.py::test_fuzz_suites_keep_their_draws_in_blocks_of_100",),
     ),
     # The scipy Legendre oracle, the bulk field CSV and the shared parser.
@@ -456,26 +456,55 @@ MUTANTS = (
         "if False:",
         (_BAD_INPUT,),
     ),
+    # One worst-violation reducer, and the inputs it now rejects.
+    Mutant(
+        "spectral: _worst drops a NaN (a plain max)",
+        "src/sphere_poincare/spectral.py",
+        "return math.nan if any(map(math.isnan, peaks)) else max([0.0, *peaks])",
+        "return max([0.0, *peaks])",
+        ("tests/test_worst.py",),
+    ),
+    Mutant(
+        "grid: dirichlet of a coefficient vector is an outer product",
+        "src/sphere_poincare/grid.py",
+        "coeffs = coeffs.reshape(len(self.eigenvalues), -1)",
+        "coeffs = coeffs",
+        ("tests/test_grid.py::test_dirichlet_takes_the_coefficient_vector_analyze_returns",),
+    ),
+    Mutant(
+        "flow: normalize_field divides by an overflowed length",
+        "src/sphere_poincare/flow.py",
+        "if not np.all(np.isfinite(norms)):",
+        "if False:",
+        ("tests/test_flow.py::test_normalize_field_names_a_sample_whose_length_is_not_finite",),
+    ),
+    Mutant(
+        "cli: flow row cap counts no first row",
+        "src/sphere_poincare/cli.py",
+        "1 + -(-args.steps // args.record_every) > _MAX_RANGE_STEPS",
+        "-(-args.steps // args.record_every) > _MAX_RANGE_STEPS",
+        ("tests/test_cli.py::test_flow_keeps_at_most_one_million_rows",),
+    ),
     # One PINNED tolerance of each suite loosened tenfold.
     Mutant(
         "suites: orthonormality round trip held to 1e-10",
         "src/sphere_poincare/suites.py",
-        'Check("analyze-synthesize-roundtrip-band4", worst, 1e-11)',
-        'Check("analyze-synthesize-roundtrip-band4", worst, 1e-10)',
+        'Check("analyze-synthesize-roundtrip-band4", _worst(errors), 1e-11)',
+        'Check("analyze-synthesize-roundtrip-band4", _worst(errors), 1e-10)',
         (_CRITERION + "6_orthonormality_and_transforms",),
     ),
     Mutant(
         "suites: energy-routes route gap held to 1e-7",
         "src/sphere_poincare/suites.py",
-        'Check("route-equivalence-band4", worst, 1e-8)',
-        'Check("route-equivalence-band4", worst, 1e-7)',
+        'Check("route-equivalence-band4", _worst(route_gaps), 1e-8)',
+        'Check("route-equivalence-band4", _worst(route_gaps), 1e-7)',
         (_CRITERION + "4_sequence_space_representation",),
     ),
     Mutant(
         "suites: inequality lower bound held to 1e-8",
         "src/sphere_poincare/suites.py",
-        'Check("poincare-lower-bound", max(worst, 0.0), 1e-9)',
-        'Check("poincare-lower-bound", max(worst, 0.0), 1e-8)',
+        'Check("poincare-lower-bound", _worst(deficits), 1e-9)',
+        'Check("poincare-lower-bound", _worst(deficits), 1e-8)',
         (_CRITERION + "2_poincare_inequality_fuzzing",),
     ),
     Mutant(
@@ -488,8 +517,8 @@ MUTANTS = (
     Mutant(
         "suites: lemma closed-vs-numeric gap held to 1e-11",
         "src/sphere_poincare/suites.py",
-        'Check("gamma-closed-vs-numeric", worst, 1e-12)',
-        'Check("gamma-closed-vs-numeric", worst, 1e-11)',
+        'Check("gamma-closed-vs-numeric", _worst(gaps), 1e-12)',
+        'Check("gamma-closed-vs-numeric", _worst(gaps), 1e-11)',
         (_CRITERION + "1_sharp_constant_reproduction",),
     ),
 )
