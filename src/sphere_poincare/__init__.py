@@ -5,110 +5,21 @@ energy both by quadrature and in coefficient space, recovers the sharp
 constant by block eigenproblems, constructs the exact equality family,
 and probes the stability of the normal states by constrained gradient
 flow.
+
+The package namespace is the union of the layers' ``__all__`` lists:
+each public name is declared once, in its layer.
 """
 
 __version__ = "0.1.0"
 
-from .eigensolver import SpectralBlock, block, gamma_numeric, min_eigenpair, numeric_minimizer
-from .flow import (
-    FlowResult,
-    FlowState,
-    distance_to_normals,
-    el_residual,
-    gradient_flow,
-    project_tangent,
-    second_variation_normal,
-)
-from .grid import (
-    Grid,
-    SampledScalarField,
-    SampledVectorField,
-    build_grid,
-    dirichlet_energy_scalar_route,
-    inner_product,
-    integrate,
-    normal_field,
-    scalar_analyze,
-    tangent_frame,
-    verification_grid,
-)
-from .legendre import (
-    assoc_legendre,
-    assoc_legendre_dt,
-    normalized_legendre,
-    scalar_sh,
-    scalar_sh_grad_components,
-)
-from .sharp import (
-    MinimizerSpec,
-    Regime,
-    build_minimizer,
-    classify_regime,
-    equality_residual,
-    gamma,
-    gamma_plus,
-    membership_check,
-    shifted_constant,
-)
-from .spectral import (
-    EnergyBreakdown,
-    anisotropy_energy,
-    dirichlet_energy,
-    energy_report,
-    g_kappa,
-    norm_sq,
-)
-from .vsh import CoeffSet, ModeIndex, analyze, eval_vsh, random_coeffs, synthesize
+from . import eigensolver, flow, grid, legendre, sharp, spectral, vsh
+from .eigensolver import *  # noqa: F403
+from .flow import *  # noqa: F403
+from .grid import *  # noqa: F403
+from .legendre import *  # noqa: F403
+from .sharp import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .vsh import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "SpectralBlock",
-    "block",
-    "gamma_numeric",
-    "min_eigenpair",
-    "numeric_minimizer",
-    "FlowResult",
-    "FlowState",
-    "distance_to_normals",
-    "el_residual",
-    "gradient_flow",
-    "project_tangent",
-    "second_variation_normal",
-    "Grid",
-    "SampledScalarField",
-    "SampledVectorField",
-    "build_grid",
-    "dirichlet_energy_scalar_route",
-    "inner_product",
-    "integrate",
-    "normal_field",
-    "scalar_analyze",
-    "tangent_frame",
-    "verification_grid",
-    "assoc_legendre",
-    "assoc_legendre_dt",
-    "normalized_legendre",
-    "scalar_sh",
-    "scalar_sh_grad_components",
-    "MinimizerSpec",
-    "Regime",
-    "build_minimizer",
-    "classify_regime",
-    "equality_residual",
-    "gamma",
-    "gamma_plus",
-    "membership_check",
-    "shifted_constant",
-    "EnergyBreakdown",
-    "anisotropy_energy",
-    "dirichlet_energy",
-    "energy_report",
-    "g_kappa",
-    "norm_sq",
-    "CoeffSet",
-    "ModeIndex",
-    "analyze",
-    "eval_vsh",
-    "random_coeffs",
-    "synthesize",
-]
+_LAYERS = (eigensolver, flow, grid, legendre, sharp, spectral, vsh)
+__all__ = ["__version__", *(name for layer in _LAYERS for name in layer.__all__)]

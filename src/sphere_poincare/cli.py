@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -240,6 +241,24 @@ def cmd_flow(args) -> int:
     return _report(args, start, f"flow --kappa {args.kappa:g}", parameters, checks)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line errors and exponent-form negative numbers.
+
+    ``error`` prints one ``error:`` line, as ``main`` does for every other
+    bad input, in place of the usage block.  The negative-number pattern
+    takes exponents too, so ``--range -1e2 1 3`` reads -1e2 as a value, not
+    as an option.  Subparsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def error(self, message):
+        print("error:", " ".join(message.splitlines()), file=sys.stderr)
+        raise SystemExit(2)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call.
@@ -247,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` gives each call a fresh namespace and every default is
     immutable, so calls share no state; callers must not alter the parser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphere-poincare",
         description="Sharp Poincare-type inequality on the sphere: tables, "
         "verification suites, equality-family fields and stability flows.",

@@ -64,8 +64,17 @@ def _require_unit(u: SampledVectorField) -> None:
 
 
 def normalize_field(u: SampledVectorField) -> SampledVectorField:
-    """Pointwise projection onto the unit sphere."""
+    """Pointwise projection onto the unit sphere.
+
+    A sample whose largest entry is positive and below 1e-150, where its
+    squared length could underflow, is divided by that entry first.
+    """
     values = u.values.reshape(-1, 3)
+    largest = np.max(np.abs(values), axis=1)
+    short = (0.0 < largest) & (largest < 1e-150)
+    if np.any(short):
+        values = values.copy()
+        values[short] /= largest[short, None]
     with np.errstate(over="ignore"):
         norms = _norms(values)
     if not np.all(np.isfinite(norms)):
@@ -254,6 +263,7 @@ def _record(step, time, energy, values, force, normal, weights, work: _Work) -> 
     return FlowRecord(step, time, energy, *_distances(values, normal, weights, work), residual_max)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by the energy checks, not warned about
 def gradient_flow(
     u0: SampledVectorField,
     kappa: float,

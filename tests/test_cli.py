@@ -223,6 +223,9 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         # A perturbation whose squared length, or the perturbation itself, overflows.
         (["flow", "--kappa", "1", "--perturb", "1e300", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--perturb", "1.7e308", "--out", "{tmp}/t.csv"], None),
+        # A weight whose force, or the iterate it moves, overflows within the flow.
+        (["flow", "--kappa", "1e300", "--steps", "2", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa=-1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
         # More than 1,000,000 trajectory rows.
         (["flow", "--kappa", "1", "--steps", "1000000000", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--steps", "1000000", "--out", "{tmp}/t.csv"], None),
@@ -239,6 +242,50 @@ def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkey
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--kappa", "abc"],
+        ["verify", "--suite", "nope"],
+        ["flow", "--out", "{tmp}/x.csv"],
+        ["minimize", "--kappa", "1", "--grid", "16", "--out", "{tmp}/m"],
+        ["gamma", "--kappa", "1", "--out", "{tmp}/g.csv", "x\ny"],
+        [],
+    ],
+)
+def test_parse_error_gives_one_line_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "exponent, decimal",
+    [
+        (["gamma", "--kappa", "-1e2"], ["gamma", "--kappa", "-100"]),
+        (["gamma", "--kappa", "-1E+2"], ["gamma", "--kappa", "-100"]),
+        (["gamma", "--range", "-1e2", "1", "3"], ["gamma", "--range", "-100", "1", "3"]),
+        (
+            ["minimize", "--kappa", "1", "--direction", "-1e-3", "0", "1"],
+            ["minimize", "--kappa", "1", "--direction", "-0.001", "0", "1"],
+        ),
+    ],
+)
+def test_exponent_form_negative_numbers_are_values(exponent, decimal, tmp_path, capsys):
+    outputs = []
+    for name, argv in (("exponent", exponent), ("decimal", decimal)):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{name}*"))])
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])
 
 
 def test_flow_with_a_non_finite_energy_exits_2_without_a_trajectory(tmp_path, capsys):

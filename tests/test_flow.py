@@ -87,6 +87,27 @@ def test_normalize_field_names_a_sample_whose_length_is_not_finite(length):
         normalize_field(SampledVectorField(grid=grid, values=values))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 5e-324])
+def test_normalize_field_scales_a_short_sample_up_first(scale):
+    # Squared, 1e-170 underflows to 0 and 1e-160 to a subnormal that has lost digits.
+    grid = build_grid(6, 11)
+    values = normal_field(grid).values.copy()
+    values[2, 3] = (3.0 * scale, -4.0 * scale, 0.0)
+    unit = normalize_field(SampledVectorField(grid=grid, values=values)).values
+    assert_allclose(unit[2, 3], (0.6, -0.8, 0.0), rtol=0, atol=1e-15)
+    others = np.ones((6, 11), dtype=bool)
+    others[2, 3] = False
+    assert unit[others].tobytes() == normalize_field(normal_field(grid)).values[others].tobytes()
+
+
+def test_normalize_field_rejects_a_zero_length_sample():
+    grid = build_grid(6, 11)
+    values = normal_field(grid).values.copy()
+    values[2, 3] = 0.0
+    with pytest.raises(ValueError, match="zero-length samples"):
+        normalize_field(SampledVectorField(grid=grid, values=values))
+
+
 @pytest.mark.parametrize("kappa", [-2.0, 1.0, 6.0])
 def test_second_variation_closed_value(kappa):
     grid = verification_grid(4)

@@ -485,6 +485,42 @@ MUTANTS = (
         "-(-args.steps // args.record_every) > _MAX_RANGE_STEPS",
         ("tests/test_cli.py::test_flow_keeps_at_most_one_million_rows",),
     ),
+    # The package namespace, the one-line parse errors and the short samples.
+    Mutant(
+        "package: one layer dropped from the re-export",
+        "src/sphere_poincare/__init__.py",
+        "from .vsh import *  # noqa: F403\n",
+        "",
+        ("tests/test_package.py::test_each_package_name_is_its_layers_object",),
+    ),
+    Mutant(
+        "cli: argparse's usage-block error restored",
+        "src/sphere_poincare/cli.py",
+        "def error(self, message):",
+        "def _one_line_error(self, message):",
+        ("tests/test_cli.py::test_parse_error_gives_one_line_error",),
+    ),
+    Mutant(
+        "cli: argparse's negative-number pattern restored",
+        "src/sphere_poincare/cli.py",
+        r'r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"',
+        r'r"^-\d+$|^-\d*\.\d+$"',
+        ("tests/test_cli.py::test_exponent_form_negative_numbers_are_values",),
+    ),
+    Mutant(
+        "flow: normalize_field squares a short sample",
+        "src/sphere_poincare/flow.py",
+        "values[short] /= largest[short, None]",
+        "pass",
+        ("tests/test_flow.py::test_normalize_field_scales_a_short_sample_up_first",),
+    ),
+    Mutant(
+        "flow: gradient_flow warns on an overflowing iterate",
+        "src/sphere_poincare/flow.py",
+        '@np.errstate(over="ignore", invalid="ignore")',
+        "",
+        (_BAD_INPUT,),
+    ),
     # One PINNED tolerance of each suite loosened tenfold.
     Mutant(
         "suites: orthonormality round trip held to 1e-10",

@@ -25,10 +25,10 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from sphere_poincare import cli  # noqa: E402
+from sphere_poincare.suites import SUITES  # noqa: E402
 
 _PATH_PARAMETERS = ("coeffs_csv", "field_csv", "trajectory_csv")
 
-SUITES = ("orthonormality", "energy-routes", "inequality", "equality", "lemma")
 SEEDS = (0, 3, 2024)
 MINIMIZE_KAPPAS = ("-8", "-4", "-3.9", "0.5", "6", "17")
 FLOWS = {
