@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -24,15 +23,15 @@ import numpy as np
 from . import __version__
 from .eigensolver import numeric_minimizer
 from .flow import _unit_gap, gradient_flow, normalize_field, write_trajectory_csv
-from .grid import FOUR_PI, SampledVectorField, build_grid, export_vector_field_csv, normal_field
+from .grid import FOUR_PI, SampledVectorField, _write_text, build_grid, export_vector_field_csv, normal_field
 from .legendre import MAX_DEGREE
 from .sharp import (
+    _gamma_table_lines,
     build_minimizer,
     classify_regime,
     equality_residual,
     gamma,
     membership_check,
-    write_gamma_table,
 )
 from .spectral import _worst, norm_sq
 from .suites import SUITES, Check, _bool_check, run_suite
@@ -104,8 +103,7 @@ def _report(args, start: float, command: str, parameters: dict, checks: list[Che
     report = RunReport(command, parameters, checks, wall_time_s=time.perf_counter() - start)
     text = report.to_json() if args.json else report.to_text()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, (text, "\n"))
     print(text)
     return 0 if report.passed else 1
 
@@ -126,8 +124,8 @@ def _grid(sizes):
 
 
 def cmd_gamma(args) -> int:
-    if args.kappa is None and args.range is None:
-        raise ValueError("provide --kappa or --range")
+    if (args.kappa is None) == (args.range is None):
+        raise ValueError("provide exactly one of --kappa and --range")
     if args.kappa is not None:
         kappas = [args.kappa]
     else:
@@ -138,13 +136,11 @@ def cmd_gamma(args) -> int:
             raise ValueError("bad range")
         kappas = np.linspace(lo, hi, int(steps))
     # Rendered before --out is opened, so a bad weight leaves no file behind.
-    table = io.StringIO()
-    write_gamma_table(table, kappas)
+    lines = _gamma_table_lines(kappas)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(table.getvalue())
+        _write_text(args.out, lines)
     else:
-        sys.stdout.write(table.getvalue())
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -159,6 +155,9 @@ def cmd_verify(args) -> int:
 def cmd_minimize(args) -> int:
     start = time.perf_counter()
     kappa = args.kappa
+    # The eigensolver's argmin fixes the numeric member: it has no free sign, direction or c0.
+    if args.method == "numeric" and (args.sign, args.direction, args.c0) != (None, None, None):
+        raise ValueError("--method numeric takes no --sign, --direction or --c0")
     _, closed = build_minimizer(kappa, sign=args.sign, direction=args.direction, c0=args.c0)
     numeric = numeric_minimizer(kappa)
     chosen = closed if args.method == "closed" else numeric

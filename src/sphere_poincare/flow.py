@@ -14,6 +14,7 @@ flat-array kernels, so each quantity has a single implementation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .grid import (
     FOUR_PI,
     SampledVectorField,
     _dot3,
+    _write_text,
     dirichlet_energy_scalar_route,
     inner_product,
     scalar_basis,
@@ -344,10 +346,9 @@ def gradient_flow(
 
 
 def write_trajectory_csv(result: FlowResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,time,energy,dist_to_plus_n,dist_to_minus_n,residual_max\n")
-        for r in result.records:
-            fh.write(
-                f"{r.step},{r.time!r},{r.energy!r},{r.dist_plus!r},"
-                f"{r.dist_minus!r},{r.residual_max!r}\n"
-            )
+    header = "step,time,energy,dist_to_plus_n,dist_to_minus_n,residual_max\n"
+    rows = (
+        f"{r.step},{r.time!r},{r.energy!r},{r.dist_plus!r},{r.dist_minus!r},{r.residual_max!r}\n"
+        for r in result.records
+    )
+    _write_text(path, itertools.chain((header,), rows))

@@ -92,6 +92,13 @@ class Grid:
             vectors.setflags(write=False)
         return frame
 
+    def _basis(self, cls, band_limit: int):
+        """The grid's one ``cls(grid, band_limit)``, built on first request."""
+        key = (cls, band_limit)
+        if key not in self._cache:
+            self._cache[key] = cls(self, band_limit)
+        return self._cache[key]
+
 
 @cache
 def _gauss_legendre(n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,10 +326,7 @@ class ScalarBasis:
 
 def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:
     """Cached ScalarBasis for (grid, band_limit)."""
-    key = ("scalar", band_limit)
-    if key not in grid._cache:
-        grid._cache[key] = ScalarBasis(grid, band_limit)
-    return grid._cache[key]
+    return grid._basis(ScalarBasis, band_limit)
 
 
 def scalar_analyze(f: SampledScalarField, band_limit: int) -> dict:
@@ -353,5 +357,10 @@ def export_vector_field_csv(field_data: SampledVectorField, path) -> None:
     nodes = itertools.product(map(repr, grid.t.tolist()), map(repr, grid.phi.tolist()))
     values = np.asarray(field_data.values, dtype=float).reshape(-1, 3).tolist()
     rows = "".join(f"{p},{t},{ux!r},{uy!r},{uz!r}\n" for (t, p), (ux, uy, uz) in zip(nodes, values))
+    _write_text(path, ("phi,t,ux,uy,uz\n", rows))
+
+
+def _write_text(path, chunks) -> None:
+    """The package's one file writer: str ``chunks`` (a generator streams) as UTF-8, line ends as given."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("phi,t,ux,uy,uz\n" + rows)
+        fh.writelines(chunks)

@@ -247,10 +247,14 @@ def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:
     return rows
 
 
+def _gamma_table_lines(kappas) -> list[str]:
+    """The constants table's CSV lines (shifted column empty for kappa >= 0)."""
+    return ["kappa,gamma,gamma_plus,shifted\n"] + [
+        f"{kappa!r},{gam!r},{gam_plus!r},{'' if shifted is None else repr(shifted)}\n"
+        for kappa, gam, gam_plus, shifted in gamma_table_rows(kappas)
+    ]
+
+
 def write_gamma_table(fh, kappas) -> None:
-    """Write the constants table as CSV (shifted column empty for kappa >= 0)."""
-    rows = gamma_table_rows(kappas)  # first, so a bad weight writes nothing
-    fh.write("kappa,gamma,gamma_plus,shifted\n")
-    for kappa, gam, gam_plus, shifted in rows:
-        tail = "" if shifted is None else repr(shifted)
-        fh.write(f"{kappa!r},{gam!r},{gam_plus!r},{tail}\n")
+    """Write the constants table as CSV; every row is checked before the first is written."""
+    fh.writelines(_gamma_table_lines(kappas))

@@ -13,6 +13,7 @@ Coefficients are stored dense per (family, n, j) up to the band limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .grid import (
     _require_resolution,
     _row_degrees,
     _same_grid,
+    _write_text,
     tangent_frame,
 )
 from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
@@ -192,10 +194,8 @@ class CoeffSet:
 
     def to_csv(self, path) -> None:
         """Write nonzero coefficients as CSV rows i,n,j,value."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("i,n,j,value\n")
-            for mode, value in self.items_nonzero():
-                fh.write(f"{mode.family},{mode.n},{mode.j},{float(value)!r}\n")
+        rows = (f"{mode.family},{mode.n},{mode.j},{float(value)!r}\n" for mode, value in self.items_nonzero())
+        _write_text(path, itertools.chain(("i,n,j,value\n",), rows))
 
     @classmethod
     def from_csv(cls, path, band_limit: int | None = None) -> "CoeffSet":
@@ -368,10 +368,7 @@ class VectorBasis:
 
 def vector_basis(grid: Grid, band_limit: int) -> VectorBasis:
     """Cached VectorBasis for (grid, band_limit)."""
-    key = ("vector", band_limit)
-    if key not in grid._cache:
-        grid._cache[key] = VectorBasis(grid, band_limit)
-    return grid._cache[key]
+    return grid._basis(VectorBasis, band_limit)
 
 
 def synthesize(coeffs: CoeffSet, grid: Grid) -> SampledVectorField:

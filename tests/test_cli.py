@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sphere_poincare import cli
+from sphere_poincare import cli, flow, grid, vsh
 from sphere_poincare.cli import RunReport, main
 from sphere_poincare.suites import Check
 
@@ -230,6 +230,13 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         (["flow", "--kappa", "1", "--steps", "1000000000", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--steps", "1000000", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--steps", "9999991", "--record-every", "10", "--out", "{tmp}/t.csv"], None),
+        # The eigensolver fixes the numeric member: no family option applies to it.
+        (["minimize", "--kappa", "6", "--method", "numeric", "--direction", "1", "0", "0", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=-4", "--method", "numeric", "--c0", "1.5", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=-8", "--method", "numeric", "--sign=-1", "--out", "{tmp}/m"], None),
+        # Both table inputs at once.
+        (["gamma", "--kappa", "1", "--range", "0", "1", "3"], None),
+        (["gamma", "--kappa", "1", "--range", "0", "1", "3", "--out", "{tmp}/g.csv"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
@@ -396,3 +403,26 @@ def test_run_epilogue_prints_writes_and_gives_the_exit_code(as_json, tmp_path, c
         assert out.read_text() == printed
         passed = json.loads(printed)["passed"] if as_json else printed.endswith("result: PASS\n")
         assert passed == (code == 0)
+
+
+def test_every_output_file_goes_through_the_one_writer(tmp_path, monkeypatch, capsys):
+    written = []
+    write_text = grid._write_text
+
+    def recording(path, chunks):
+        written.append(path)
+        write_text(path, chunks)
+
+    for module in (cli, flow, grid, vsh):
+        monkeypatch.setattr(module, "_write_text", recording)
+    runs = [
+        ["gamma", "--range", "-1", "1", "3", "--out", "g.csv"],
+        ["verify", "--suite", "equality", "--out", "r.txt"],
+        ["minimize", "--kappa", "6", "--out", "m"],
+        ["flow", "--kappa", "1", "--steps", "2", "--out", "t.csv"],
+    ]
+    for argv in runs:
+        assert main([*argv[:-1], str(tmp_path / argv[-1])]) == 0
+    names = ["g.csv", "r.txt", "m_coeffs.csv", "m_field.csv", "t.csv"]
+    assert written == [str(tmp_path / name) for name in names]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)

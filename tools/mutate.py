@@ -557,6 +557,113 @@ MUTANTS = (
         'Check("gamma-closed-vs-numeric", _worst(gaps), 1e-11)',
         (_CRITERION + "1_sharp_constant_reproduction",),
     ),
+    # Every other numeric PINNED tolerance loosened tenfold (a loop's row covers all its checks).
+    Mutant(
+        "suites: orthonormality Gram identity held to 1e-9",
+        "src/sphere_poincare/suites.py",
+        "float(np.max(np.abs(gram - np.eye(len(basis.modes))))),\n            1e-10,",
+        "float(np.max(np.abs(gram - np.eye(len(basis.modes))))),\n            1e-9,",
+        (_CRITERION + "6_orthonormality_and_transforms",),
+    ),
+    Mutant(
+        "suites: energy-routes g_kappa identity held to 1e-11",
+        "src/sphere_poincare/suites.py",
+        'Check("g-kappa-identity", _worst(gaps), 1e-12)',
+        'Check("g-kappa-identity", _worst(gaps), 1e-11)',
+        (_CRITERION + "4_sequence_space_representation",),
+    ),
+    Mutant(
+        "suites: energy-routes Parseval gap held to 1e-9",
+        "src/sphere_poincare/suites.py",
+        'Check("parseval-band4", _worst(parseval_gaps), 1e-10)',
+        'Check("parseval-band4", _worst(parseval_gaps), 1e-9)',
+        (_CRITERION + "4_sequence_space_representation",),
+    ),
+    Mutant(
+        "suites: energy-routes normal-field Dirichlet energy held to 1e-8",
+        "src/sphere_poincare/suites.py",
+        "8.0 * math.pi),\n            1e-9,",
+        "8.0 * math.pi),\n            1e-8,",
+        (_CRITERION + "4_sequence_space_representation",),
+    ),
+    Mutant(
+        "suites: energy-routes normal-field total held to 1e-8",
+        "src/sphere_poincare/suites.py",
+        "FOUR_PI * (kappa + 2.0)),\n            1e-9,",
+        "FOUR_PI * (kappa + 2.0)),\n            1e-8,",
+        (_CRITERION + "4_sequence_space_representation",),
+    ),
+    Mutant(
+        "suites: inequality rewritten form held to 1e-8",
+        "src/sphere_poincare/suites.py",
+        'Check("rewritten-form-negative-kappa", _worst(deficits), 1e-9)',
+        'Check("rewritten-form-negative-kappa", _worst(deficits), 1e-8)',
+        (_CRITERION + "2_poincare_inequality_fuzzing",),
+    ),
+    Mutant(
+        "suites: inequality tangential lower bound held to 1e-8",
+        "src/sphere_poincare/suites.py",
+        'Check("tangential-lower-bound", _worst(deficits), 1e-9)',
+        'Check("tangential-lower-bound", _worst(deficits), 1e-8)',
+        (_CRITERION + "5_tangential_sharp_constant",),
+    ),
+    Mutant(
+        "suites: inequality tangential equality mode held to 1e-9",
+        "src/sphere_poincare/suites.py",
+        "2.0 * spectral.norm_sq(equal)),\n            1e-10,",
+        "2.0 * spectral.norm_sq(equal)),\n            1e-9,",
+        (_CRITERION + "5_tangential_sharp_constant",),
+    ),
+    Mutant(
+        "suites: equality residuals held to 1e-9 (7 checks)",
+        "src/sphere_poincare/suites.py",
+        "abs(sharp.equality_residual(coeffs, kappa)),\n                1e-10,",
+        "abs(sharp.equality_residual(coeffs, kappa)),\n                1e-9,",
+        (_CRITERION + "3_equality_family",),
+    ),
+    Mutant(
+        "suites: equality norms held to 1e-9 (7 checks)",
+        "src/sphere_poincare/suites.py",
+        "abs(spectral.norm_sq(coeffs) - FOUR_PI),\n                1e-10,",
+        "abs(spectral.norm_sq(coeffs) - FOUR_PI),\n                1e-9,",
+        (_CRITERION + "3_equality_family",),
+    ),
+    Mutant(
+        "suites: lemma u3 channel held to 1e-11",
+        "src/sphere_poincare/suites.py",
+        'Check("minimizer-u3-channel-zero", _worst(u3_leaks), 1e-12)',
+        'Check("minimizer-u3-channel-zero", _worst(u3_leaks), 1e-11)',
+        (_CRITERION + "7_minimizer_structure",),
+    ),
+    Mutant(
+        "suites: lemma degree >= 2 leak held to 1e-11",
+        "src/sphere_poincare/suites.py",
+        'Check("minimizer-no-degree>=2", _worst(high_leaks), 1e-12)',
+        'Check("minimizer-no-degree>=2", _worst(high_leaks), 1e-11)',
+        (_CRITERION + "7_minimizer_structure",),
+    ),
+    Mutant(
+        "suites: lemma sign agreement held to 1e-11",
+        "src/sphere_poincare/suites.py",
+        'Check("minimizer-sign-agreement", _worst(sign_defects), 1e-12)',
+        'Check("minimizer-sign-agreement", _worst(sign_defects), 1e-11)',
+        (_CRITERION + "7_minimizer_structure",),
+    ),
+    # Each input path used alone, and no family option on the numeric member.
+    Mutant(
+        "cli: gamma takes --kappa and --range together",
+        "src/sphere_poincare/cli.py",
+        "if (args.kappa is None) == (args.range is None):",
+        "if args.kappa is None and args.range is None:",
+        (_BAD_INPUT,),
+    ),
+    Mutant(
+        "cli: minimize --method numeric takes the family options",
+        "src/sphere_poincare/cli.py",
+        'if args.method == "numeric" and (args.sign, args.direction, args.c0) != (None, None, None):',
+        "if False:",
+        (_BAD_INPUT,),
+    ),
 )
 
 
