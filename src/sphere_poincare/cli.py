@@ -208,8 +208,7 @@ def cmd_flow(args) -> int:
     mode = CoeffSet(1)
     mode[(2, 1, 0)] = math.sqrt(FOUR_PI)
     bump = synthesize(mode, grid)
-    with np.errstate(over="ignore"):  # normalize_field names an overflowed sample
-        values = normal.values + args.perturb * bump.values
+    values = normal.values + args.perturb * bump.values
     u0 = normalize_field(SampledVectorField(grid=grid, values=values))
     result = gradient_flow(
         u0,
@@ -324,8 +323,10 @@ def main(argv=None) -> int:
             values = value if isinstance(value, (list, tuple)) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"--{name.replace('_', '-')} must be finite")
-        return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+        # A numpy overflow, invalid or divide event is one error line, never warnings and a PASS.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

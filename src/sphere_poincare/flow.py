@@ -49,14 +49,9 @@ _UNIT_TOL = 1e-8
 _ENERGY_INCREASE_TOL = 1e-10
 
 
-def _norms(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    squares = _dot3(values, values, out)
-    return np.sqrt(squares, out=squares)
-
-
 def _unit_gap(values: np.ndarray) -> float:
     """max | |u| - 1 | over the samples."""
-    return float(np.max(np.abs(_norms(values) - 1.0)))
+    return float(np.max(np.abs(np.sqrt(_dot3(values, values)) - 1.0)))
 
 
 def _require_unit(u: SampledVectorField) -> None:
@@ -78,12 +73,7 @@ def normalize_field(u: SampledVectorField) -> SampledVectorField:
         values = values.copy()
         values[short] /= largest[short, None]
     with np.errstate(over="ignore"):
-        norms = _norms(values)
-    if not np.all(np.isfinite(norms)):
-        raise ValueError("cannot normalize a field whose sample lengths overflow or are not finite")
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a field with zero-length samples")
-    unit = _rows(np.divide, values, norms, np.empty(values.shape))
+        unit = _unit_rows(values, np.empty(values.shape), np.empty(len(values)))
     return SampledVectorField(grid=u.grid, values=unit.reshape(u.values.shape))
 
 
@@ -123,6 +113,18 @@ def _rows(op, values: np.ndarray, per_node: np.ndarray, out: np.ndarray) -> np.n
     """
     op(values.T, per_node, out=out.T, order="C")
     return out
+
+
+def _unit_rows(values: np.ndarray, out: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values / |values|, row by row, into ``out`` (which may be values), the lengths into ``lengths``;
+    a length that overflowed, is NaN or is zero raises ValueError before anything is divided."""
+    norms = np.sqrt(_dot3(values, values, lengths), out=lengths)
+    longest = np.maximum.reduce(norms)  # NaN if any length is NaN
+    if not longest < math.inf:
+        raise ValueError(f"cannot normalize a field whose sample lengths overflow or are not finite (one is {longest})")
+    if not np.minimum.reduce(norms) > 0.0:
+        raise ValueError("cannot normalize a field with zero-length samples")
+    return _rows(np.divide, values, norms, out)
 
 
 def _tangent_part(w: np.ndarray, u: np.ndarray, out: np.ndarray, work: _Work) -> np.ndarray:
@@ -265,7 +267,7 @@ def _record(step, time, energy, values, force, normal, weights, work: _Work) -> 
     return FlowRecord(step, time, energy, *_distances(values, normal, weights, work), residual_max)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by the energy checks, not warned about
+@np.errstate(over="ignore", invalid="ignore")  # the length guard and the energy checks name an overflowing step
 def gradient_flow(
     u0: SampledVectorField,
     kappa: float,
@@ -283,8 +285,9 @@ def gradient_flow(
     Dirichlet penalty in the truncated energy, so without the projection
     roundoff noise in that complement grows at rate -(kappa + 2) and
     destroys the probe for kappa > -2.  The step size must sit below the
-    spectral stability bound 1/(N(N+1)); an energy increase beyond
-    tolerance, or a non-finite energy, aborts with a diagnostic.
+    spectral stability bound 1/(N(N+1)); sample lengths that overflow,
+    are NaN or are zero, an energy increase beyond tolerance, or a
+    non-finite energy abort with a diagnostic that names the step.
     """
     _require_unit(u0)
     if steps < 1:
@@ -325,7 +328,10 @@ def gradient_flow(
         candidate = np.subtract(u, grad, out=grad)
         # Galerkin projection onto the resolved band before renormalizing.
         candidate = basis.synthesize(basis.analyze(candidate))
-        _rows(np.divide, candidate, _norms(candidate, work.scalar), candidate)
+        try:
+            _unit_rows(candidate, candidate, work.scalar)
+        except ValueError as exc:
+            raise RuntimeError(f"{exc} at step {step}") from None
         coeffs = basis.analyze(candidate)
         radial = _dot3(candidate, normal, work.radial)
         new_energy = _energy(basis, coeffs, radial, weights, kappa, work)

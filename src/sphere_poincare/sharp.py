@@ -83,22 +83,29 @@ def gamma_plus(kappa: float) -> float:
     return 0.5 * ((kappa + 6.0) - math.sqrt(kappa * kappa + 4.0 * kappa + 36.0))
 
 
+def _gamma(kappa: float, plus: float) -> float:
+    """gamma from kappa and its gamma_plus: kappa + 2 up to the boundary -4, ``plus`` beyond."""
+    return kappa + 2.0 if kappa <= -4.0 else plus
+
+
 def gamma(kappa: float) -> float:
     """Sharp constant: kappa + 2 up to the boundary -4, gamma_plus beyond."""
-    _require_finite(kappa)
-    if kappa <= -4.0:
-        return kappa + 2.0
-    return gamma_plus(kappa)
+    return _gamma(kappa, gamma_plus(kappa))
+
+
+def _shifted(kappa: float, gam: float) -> float | None:
+    """|kappa| + gamma for kappa < 0; None from 0 up, where it is not defined."""
+    return abs(kappa) + gam if kappa < 0.0 else None
 
 
 def shifted_constant(kappa: float) -> float:
     """|kappa| + gamma(kappa), the non-negative constant of the rewritten
     inequality for kappa < 0 (gradient plus |kappa| times the tangential
     part bounds the norm)."""
-    _require_finite(kappa)
-    if kappa >= 0.0:
+    shifted = _shifted(kappa, gamma(kappa))
+    if shifted is None:
         raise ValueError("shifted constant only defined for kappa < 0")
-    return abs(kappa) + gamma(kappa)
+    return shifted
 
 
 @dataclass(frozen=True)
@@ -239,8 +246,9 @@ def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:
     rows = []
     for kappa in kappas:
         kappa = float(kappa)
-        shifted = shifted_constant(kappa) if kappa < 0.0 else None
-        gam, gam_plus = gamma(kappa), gamma_plus(kappa)
+        gam_plus = gamma_plus(kappa)  # validates kappa
+        gam = _gamma(kappa, gam_plus)
+        shifted = _shifted(kappa, gam)
         if not (math.isfinite(gam) and math.isfinite(gam_plus) and math.isfinite(shifted or 0.0)):
             raise ValueError(f"the constants are not finite at kappa={kappa!r}: kappa^2 overflows")
         rows.append((kappa, gam, gam_plus, shifted))

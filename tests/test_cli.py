@@ -237,6 +237,9 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         # Both table inputs at once.
         (["gamma", "--kappa", "1", "--range", "0", "1", "3"], None),
         (["gamma", "--kappa", "1", "--range", "0", "1", "3", "--out", "{tmp}/g.csv"], None),
+        # A step whose sample lengths overflow, and a weight whose numeric route overflows.
+        (["flow", "--kappa", "1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
+        (["minimize", "--kappa=-1e300", "--out", "{tmp}/m"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
@@ -302,7 +305,9 @@ def test_flow_with_a_non_finite_energy_exits_2_without_a_trajectory(tmp_path, ca
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("error: energy is nan at step 2")
+    assert captured.err.splitlines()[-1] == (
+        "error: cannot normalize a field whose sample lengths overflow or are not finite (one is inf) at step 1"
+    )
     assert not out.exists()
 
 

@@ -244,9 +244,13 @@ def test_flow_rejects_non_finite_input(kappa, values):
     "kappa, message",
     [
         (1e17, "energy increased by .* at step 2; dt too large"),
-        # The iterate overflows; NaN compares false with any energy bound.
-        (1e200, "energy is nan at step 2;"),
-        (1e308, "energy is nan at step 1;"),
+        # The step's sample lengths overflow, or its doubled force does and they are NaN.
+        pytest.param(
+            1e200, r"cannot normalize .* not finite \(one is inf\) at step 1$", id="1e+200-inf length at step 1"
+        ),
+        pytest.param(
+            1e308, r"cannot normalize .* not finite \(one is nan\) at step 1$", id="1e+308-nan length at step 1"
+        ),
     ],
 )
 def test_flow_aborts_on_a_rising_or_non_finite_energy(kappa, message):
@@ -254,6 +258,25 @@ def test_flow_aborts_on_a_rising_or_non_finite_energy(kappa, message):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="^" + message):
             gradient_flow(u0, kappa=kappa, dt=0.02, steps=2, band_limit=4)
+
+
+def test_flow_aborts_at_the_step_whose_sample_lengths_overflow():
+    # Without the guard the step divides by infinite lengths and accepts the all-zero iterate.
+    # No errstate here: the flow keeps numpy's overflow quiet itself.
+    u0 = _perturbed_normal(build_grid(10, 19), 0.05)
+    with pytest.raises(RuntimeError, match=r"overflow or are not finite \(one is inf\) at step 1$"):
+        gradient_flow(u0, kappa=1e300, dt=0.02, steps=1, band_limit=4)
+
+
+@pytest.mark.parametrize("kappa", [-2.0, -1.0, -0.5, 0.25, 0.5, 1.0])
+def test_flow_step_scales_the_distance_to_the_normal_by_one_plus_two_kappa_dt(kappa):
+    # Along the degree-1 gradient mode the second variation at n is -kappa |v|^2
+    # (the tangential constant 2), so each linearized step multiplies v by 1 + 2 kappa dt.
+    dt = 0.005
+    u0 = _perturbed_normal(build_grid(10, 19), 1e-6)
+    result = gradient_flow(u0, kappa=kappa, dt=dt, steps=50, band_limit=4)
+    distances = np.array([r.dist_plus for r in result.records])
+    assert_allclose(distances[1:] / distances[:-1], 1.0 + 2.0 * kappa * dt, rtol=1e-8, atol=0)
 
 
 def test_distance_to_normals():

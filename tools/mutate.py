@@ -48,6 +48,7 @@ _SEPARABLE_ROUTE = "tests/test_grid.py::test_separable_route_matches_the_dense_t
 _FAMILY_BLOCKS = "tests/test_vsh.py::test_block_built_matrix_is_the_per_mode_loop"
 _BAD_INPUT = "tests/test_cli.py::test_bad_input_gives_one_line_error"
 _CRITERION = "tests/test_acceptance.py::test_criterion_"
+_RATE = "tests/test_flow.py::test_flow_step_scales_the_distance_to_the_normal_by_one_plus_two_kappa_dt"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -474,7 +475,7 @@ MUTANTS = (
     Mutant(
         "flow: normalize_field divides by an overflowed length",
         "src/sphere_poincare/flow.py",
-        "if not np.all(np.isfinite(norms)):",
+        "if not longest < math.inf:",
         "if False:",
         ("tests/test_flow.py::test_normalize_field_names_a_sample_whose_length_is_not_finite",),
     ),
@@ -519,7 +520,7 @@ MUTANTS = (
         "src/sphere_poincare/flow.py",
         '@np.errstate(over="ignore", invalid="ignore")',
         "",
-        (_BAD_INPUT,),
+        (_BAD_INPUT, "tests/test_flow.py::test_flow_aborts_at_the_step_whose_sample_lengths_overflow"),
     ),
     # One PINNED tolerance of each suite loosened tenfold.
     Mutant(
@@ -663,6 +664,36 @@ MUTANTS = (
         'if args.method == "numeric" and (args.sign, args.direction, args.c0) != (None, None, None):',
         "if False:",
         (_BAD_INPUT,),
+    ),
+    # One guard per boundary: the step's length check, the CLI's floating-point policy,
+    # and the step's rate 1 + 2 kappa dt at the normal states.
+    Mutant(
+        "flow: the step divides by its lengths unchecked",
+        "src/sphere_poincare/flow.py",
+        "_unit_rows(candidate, candidate, work.scalar)",
+        "_rows(np.divide, candidate, np.sqrt(_dot3(candidate, candidate)), candidate)",
+        ("tests/test_flow.py::test_flow_aborts_at_the_step_whose_sample_lengths_overflow",),
+    ),
+    Mutant(
+        "cli: main without its floating-point policy",
+        "src/sphere_poincare/cli.py",
+        'with np.errstate(over="raise", divide="raise", invalid="raise"):',
+        "if True:",
+        (_BAD_INPUT,),
+    ),
+    Mutant(
+        "flow: kappa scaled by 1.01 in the force",
+        "src/sphere_poincare/flow.py",
+        "np.multiply(radial, kappa, out=work.scalar)",
+        "np.multiply(radial, 1.01 * kappa, out=work.scalar)",
+        (_RATE,),
+    ),
+    Mutant(
+        "flow: the step scaled by dt twice",
+        "src/sphere_poincare/flow.py",
+        "grad *= dt\n",
+        "grad *= dt\n        grad *= dt\n",
+        (_RATE,),
     ),
 )
 
