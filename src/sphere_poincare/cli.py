@@ -208,8 +208,10 @@ def cmd_flow(args) -> int:
     mode = CoeffSet(1)
     mode[(2, 1, 0)] = math.sqrt(FOUR_PI)
     bump = synthesize(mode, grid)
-    values = normal.values + args.perturb * bump.values
-    u0 = normalize_field(SampledVectorField(grid=grid, values=values))
+    try:
+        u0 = normalize_field(SampledVectorField(grid=grid, values=normal.values + args.perturb * bump.values))
+    except (ValueError, FloatingPointError) as exc:  # the perturbation, or the start's squared lengths, overflow
+        raise ValueError(f"--perturb {args.perturb:g} gives no unit start field: {exc}") from None
     result = gradient_flow(
         u0,
         args.kappa,

@@ -7,9 +7,20 @@ pole artifacts), and the flow is an explicit projected gradient descent
 with pointwise renormalization after every step.  It is a qualitative
 stability probe, not a performance solver.
 
-The flow loop and the public diagnostics (``el_residual``,
-``saturated_energy``, ``distance_to_normals``) share one set of
-flat-array kernels, so each quantity has a single implementation.
+The flow loop and the public diagnostics (``normalize_field``,
+``project_tangent``, ``el_residual``, ``saturated_energy``,
+``distance_to_normals``) share one set of kernels, so each quantity has
+a single implementation.  The kernels hold a field component-major, as
+C-contiguous (3, nodes) rows: a pointwise dot is one multiply and one
+reduction over the rows, a per-node scalar times a field is one
+(3, nodes) * (nodes,) product, and the cross product is six row products
+and three row differences.  Samples change layout where they enter (one
+transposed copy of the start field or of a diagnostic's input) and
+where they leave (one of the final or returned field); the scalar
+transforms read the rows through their transpose.  Trajectories keep
+the bits of the node-major loop.  On 18 x 35 at band 8, with a
+trajectory row every step, the four transforms take about 40 % of a
+step and the pointwise work and the row about 60 %.
 """
 
 from __future__ import annotations
@@ -66,71 +77,88 @@ def normalize_field(u: SampledVectorField) -> SampledVectorField:
     A sample whose largest entry is positive and below 1e-150, where its
     squared length could underflow, is divided by that entry first.
     """
-    values = u.values.reshape(-1, 3)
-    largest = np.max(np.abs(values), axis=1)
-    short = (0.0 < largest) & (largest < 1e-150)
-    if np.any(short):
-        values = values.copy()
-        values[short] /= largest[short, None]
-    with np.errstate(over="ignore"):
-        unit = _unit_rows(values, np.empty(values.shape), np.empty(len(values)))
-    return SampledVectorField(grid=u.grid, values=unit.reshape(u.values.shape))
+    return _field(u.grid, _normalize_rows(_rows_of(u.values)))
 
 
 def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVectorField:
     """Pointwise projection of w onto the plane orthogonal to u."""
-    values = w.values.reshape(-1, 3)
-    tangent = _tangent_part(values, u.values.reshape(-1, 3), np.empty(values.shape), _Work(len(values)))
-    return SampledVectorField(grid=u.grid, values=tangent.reshape(w.values.shape))
+    rows = _rows_of(w.values)
+    return _field(u.grid, _tangent_part(rows, _rows_of(u.values), rows, _Work(rows.shape[1])))
 
 
-# Flat-array kernels shared by the public diagnostics and the flow loop.
-# Arrays are (nodes, 3) field values and (modes, 3) coefficients of the
-# node-major scalar basis transform; the caller flattens the normal
-# (grid.frame[2]) and the weights and computes u.n once per field.
-# Each kernel writes its intermediates into a _Work, which the flow
-# allocates once per run and a diagnostic once per call.
+# Kernels shared by the public diagnostics and the flow loop, on (3, nodes)
+# rows and the (modes, 3) coefficients of the node-major scalar basis
+# transform.  The caller converts the normal (grid.frame[2]) once and
+# computes u.n once per field.  Each kernel writes its intermediates into
+# a _Work, which the flow allocates once per run and a diagnostic once per
+# call.
 
 
 class _Work:
-    """Preallocated (nodes, 3) and (nodes,) work arrays for one node count."""
+    """Preallocated (3, nodes) and (nodes,) work arrays for one node count."""
 
     def __init__(self, nodes: int):
-        self.rows = np.empty((nodes, 3))  # a per-node scalar times the rows
+        self.rows = np.empty((3, nodes))  # a dot's products, or a per-node scalar times the rows
         self.scalar = np.empty(nodes)  # a per-node dot, norm or weighted square
         self.radial = np.empty(nodes)  # u.n of the current iterate
-        self.pair = np.empty((2, nodes, 3))  # values - normal and values + normal
+        self.cross = np.empty((3, nodes))  # u x force, then its squares
+        self.pair = np.empty((2, 3, nodes))  # values - normal and values + normal
         self.pair_dots = np.empty((2, nodes))
 
 
-def _rows(op, values: np.ndarray, per_node: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """op(values, per_node[:, None]) into ``out``, each row with its node's scalar.
+def _rows_of(values: np.ndarray) -> np.ndarray:
+    """(3, nodes) rows of (..., 3) samples, a C-contiguous copy."""
+    return np.ascontiguousarray(values.reshape(-1, 3).T)
 
-    Through transposed views in C order, so numpy's inner loop runs over
-    the nodes; a (nodes, 1) by (nodes, 3) broadcast steps three elements
-    at a time.  Multiplication commutes, so the products are the bits of
-    ``per_node[:, None] * values`` too.
+
+def _field(grid, rows: np.ndarray) -> SampledVectorField:
+    """The field on ``grid`` whose samples are the (3, nodes) ``rows``, copied node-major."""
+    return SampledVectorField(grid=grid, values=np.ascontiguousarray(rows.T).reshape(grid.n_t, grid.n_phi, 3))
+
+
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Pointwise dot over the component axis -2, into ``out``; the products go into ``products`` (which may be a).
+
+    The reduction starts from its documented default ``initial``,
+    ``np.add.identity`` (+0.0), so a sum of three -0.0 products is +0.0:
+    the bytes of ``grid._dot3`` on the node-major samples.  Spelling out
+    ``initial=0.0`` would change no bit and slow every call.
     """
-    op(values.T, per_node, out=out.T, order="C")
-    return out
+    np.multiply(a, b, out=products)
+    return np.add.reduce(products, axis=-2, out=out)
 
 
-def _unit_rows(values: np.ndarray, out: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """values / |values|, row by row, into ``out`` (which may be values), the lengths into ``lengths``;
+def _synthesized(basis, coeffs: np.ndarray) -> np.ndarray:
+    """(3, nodes) rows of (modes, 3) coefficients; a copy only when the basis returns C-ordered samples."""
+    return np.ascontiguousarray(basis.synthesize(coeffs).T)
+
+
+def _unit_rows(values: np.ndarray, out: np.ndarray, lengths: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """values / |values|, node by node, into ``out`` (which may be values), the lengths into ``lengths``;
     a length that overflowed, is NaN or is zero raises ValueError before anything is divided."""
-    norms = np.sqrt(_dot3(values, values, lengths), out=lengths)
+    norms = np.sqrt(_dot(values, values, lengths, products), out=lengths)
     longest = np.maximum.reduce(norms)  # NaN if any length is NaN
     if not longest < math.inf:
         raise ValueError(f"cannot normalize a field whose sample lengths overflow or are not finite (one is {longest})")
     if not np.minimum.reduce(norms) > 0.0:
         raise ValueError("cannot normalize a field with zero-length samples")
-    return _rows(np.divide, values, norms, out)
+    return np.divide(values, norms, out=out)
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """``normalize_field`` on (3, nodes) rows, in place."""
+    largest = np.maximum.reduce(np.abs(rows), axis=0)
+    short = (0.0 < largest) & (largest < 1e-150)
+    if np.any(short):
+        rows[:, short] /= largest[short]
+    with np.errstate(over="ignore"):
+        return _unit_rows(rows, rows, np.empty(rows.shape[1]), np.empty(rows.shape))
 
 
 def _tangent_part(w: np.ndarray, u: np.ndarray, out: np.ndarray, work: _Work) -> np.ndarray:
-    """w - (w.u) u, row by row, into ``out`` (which may be w)."""
-    radial = _dot3(w, u, work.scalar)
-    return np.subtract(w, _rows(np.multiply, u, radial, work.rows), out=out)
+    """w - (w.u) u, node by node, into ``out`` (which may be w)."""
+    radial = _dot(w, u, work.scalar, work.rows)
+    return np.subtract(w, np.multiply(u, radial, out=work.rows), out=out)
 
 
 def _energy(basis, coeffs, radial, weights, kappa: float, work: _Work) -> float:
@@ -141,16 +169,17 @@ def _energy(basis, coeffs, radial, weights, kappa: float, work: _Work) -> float:
 
 def _force(basis, coeffs, radial, normal, kappa: float, work: _Work) -> np.ndarray:
     """Half the energy gradient: -lap u + kappa (u.n) n, the Laplacian band-truncated."""
-    lap = basis.synthesize(basis.eigenvalues[:, None] * coeffs)
-    lap += _rows(np.multiply, normal, np.multiply(radial, kappa, out=work.scalar), work.rows)
+    lap = _synthesized(basis, basis.eigenvalues[:, None] * coeffs)
+    lap += np.multiply(normal, np.multiply(radial, kappa, out=work.scalar), out=work.rows)
     return lap
 
 
-def _cross_columns(values, force) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns of values x force, each with the products np.cross forms."""
-    v0, v1, v2 = values[:, 0], values[:, 1], values[:, 2]
-    f0, f1, f2 = force[:, 0], force[:, 1], force[:, 2]
-    return v1 * f2 - v2 * f1, v2 * f0 - v0 * f2, v0 * f1 - v1 * f0
+def _cross(values: np.ndarray, force: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """values x force into ``out``, row by row with the products np.cross forms; ``scratch`` holds one row."""
+    for row, j, k in zip(out, (1, 2, 0), (2, 0, 1)):
+        np.multiply(values[j], force[k], out=row)
+        row -= np.multiply(values[k], force[j], out=scratch)
+    return out
 
 
 def _distances(values, normal, weights, work: _Work) -> tuple[float, float]:
@@ -158,7 +187,7 @@ def _distances(values, normal, weights, work: _Work) -> tuple[float, float]:
     plus, minus = work.pair
     np.subtract(values, normal, out=plus)
     np.add(values, normal, out=minus)
-    squares = _dot3(work.pair, work.pair, work.pair_dots)
+    squares = _dot(work.pair, work.pair, work.pair_dots, work.pair)
     squares *= weights
     sum_plus, sum_minus = np.add.reduce(squares, axis=-1)
     scale = math.sqrt(FOUR_PI)
@@ -170,11 +199,10 @@ def el_residual(u: SampledVectorField, kappa: float, band_limit: int) -> Sampled
     saturated problem; vanishes exactly at critical points."""
     _require_unit(u)
     basis = scalar_basis(u.grid, band_limit)
-    values = u.values.reshape(-1, 3)
-    normal = u.grid.frame[2].reshape(-1, 3)
-    force = _force(basis, basis.analyze(values), _dot3(values, normal), normal, kappa, _Work(len(values)))
-    residual = np.stack(_cross_columns(values, force), axis=-1)
-    return SampledVectorField(grid=u.grid, values=residual.reshape(u.values.shape))
+    values, normal = _rows_of(u.values), _rows_of(u.grid.frame[2])
+    work = _Work(values.shape[1])
+    force = _force(basis, basis.analyze(values.T), _dot(values, normal, work.radial, work.rows), normal, kappa, work)
+    return _field(u.grid, _cross(values, force, work.cross, work.scalar))
 
 
 def second_variation_normal(
@@ -200,21 +228,16 @@ def saturated_energy(u: SampledVectorField, kappa: float, band_limit: int) -> fl
     """Penalized energy of a unit field: band-truncated Dirichlet part
     plus kappa times the quadrature anisotropy integral."""
     basis = scalar_basis(u.grid, band_limit)
-    values = u.values.reshape(-1, 3)
-    return _energy(
-        basis,
-        basis.analyze(values),
-        _dot3(values, u.grid.frame[2].reshape(-1, 3)),
-        u.grid.weights.reshape(-1),
-        kappa,
-        _Work(len(values)),
-    )
+    values = _rows_of(u.values)
+    work = _Work(values.shape[1])
+    radial = _dot(values, _rows_of(u.grid.frame[2]), work.radial, work.rows)
+    return _energy(basis, basis.analyze(values.T), radial, u.grid.weights.reshape(-1), kappa, work)
 
 
 def distance_to_normals(u: SampledVectorField) -> tuple[float, float]:
     """L2 distances to +normal and -normal, each normalized by sqrt(4 pi)."""
-    values = u.values.reshape(-1, 3)
-    return _distances(values, u.grid.frame[2].reshape(-1, 3), u.grid.weights.reshape(-1), _Work(len(values)))
+    values = _rows_of(u.values)
+    return _distances(values, _rows_of(u.grid.frame[2]), u.grid.weights.reshape(-1), _Work(values.shape[1]))
 
 
 @dataclass
@@ -255,15 +278,9 @@ class FlowResult:
 
 def _record(step, time, energy, values, force, normal, weights, work: _Work) -> FlowRecord:
     """Trajectory row of an accepted iterate, given its force."""
-    r0, r1, r2 = _cross_columns(values, force)
-    # Squares are never -0.0, so their sum needs no + 0.0 to be np.sum's;
-    # sqrt is monotone, so the root of the largest one is the largest norm.
-    r0 *= r0
-    r1 *= r1
-    r0 += r1
-    r2 *= r2
-    r0 += r2
-    residual_max = math.sqrt(np.maximum.reduce(r0))
+    residual = _cross(values, force, work.cross, work.scalar)
+    # sqrt is monotone, so the root of the largest squared norm is the largest norm.
+    residual_max = math.sqrt(np.maximum.reduce(_dot(residual, residual, work.scalar, residual)))
     return FlowRecord(step, time, energy, *_distances(values, normal, weights, work), residual_max)
 
 
@@ -306,15 +323,14 @@ def gradient_flow(
 
     grid = u0.grid
     basis = scalar_basis(grid, band_limit)
-    normal = grid.frame[2].reshape(-1, 3)
+    normal = _rows_of(grid.frame[2])
     weights = grid.weights.reshape(-1)
-    shape = u0.values.shape
 
-    u = normalize_field(u0).values.reshape(-1, 3)
-    work = _Work(len(u))
+    u = _normalize_rows(_rows_of(u0.values))
+    work = _Work(u.shape[1])
     grad = np.empty_like(u)
-    coeffs = basis.analyze(u)
-    radial = _dot3(u, normal, work.radial)
+    coeffs = basis.analyze(u.T)
+    radial = _dot(u, normal, work.radial, work.rows)
     energy = _energy(basis, coeffs, radial, weights, kappa, work)
     # One force per accepted iterate serves its record and the next step;
     # the gradient is exactly twice it, as scaling by 2 is exact.
@@ -327,13 +343,13 @@ def gradient_flow(
         grad *= dt
         candidate = np.subtract(u, grad, out=grad)
         # Galerkin projection onto the resolved band before renormalizing.
-        candidate = basis.synthesize(basis.analyze(candidate))
+        candidate = _synthesized(basis, basis.analyze(candidate.T))
         try:
-            _unit_rows(candidate, candidate, work.scalar)
+            _unit_rows(candidate, candidate, work.scalar, work.rows)
         except ValueError as exc:
             raise RuntimeError(f"{exc} at step {step}") from None
-        coeffs = basis.analyze(candidate)
-        radial = _dot3(candidate, normal, work.radial)
+        coeffs = basis.analyze(candidate.T)
+        radial = _dot(candidate, normal, work.radial, work.rows)
         new_energy = _energy(basis, coeffs, radial, weights, kappa, work)
         if not new_energy <= energy + _ENERGY_INCREASE_TOL:  # a NaN energy aborts too
             if not math.isfinite(new_energy):
@@ -347,8 +363,7 @@ def gradient_flow(
         if step % record_every == 0 or step == steps:
             records.append(_record(step, step * dt, energy, u, force, normal, weights, work))
 
-    final = SampledVectorField(grid=grid, values=u.reshape(shape))
-    return FlowResult(kappa, dt, band_limit, records, FlowState(field=final, step=steps))
+    return FlowResult(kappa, dt, band_limit, records, FlowState(field=_field(grid, u), step=steps))
 
 
 def write_trajectory_csv(result: FlowResult, path) -> None:

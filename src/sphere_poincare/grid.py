@@ -305,7 +305,9 @@ class ScalarBasis:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Node-major samples of the coefficients."""
         if self._dense:
-            return self.matrix.reshape(len(self.degrees), -1).T @ coeffs
+            # The bytes of table.T @ coeffs, faster; a (nodes, k) result is the
+            # transpose of a C-ordered (k, nodes) array, which the flow reads without a copy.
+            return (coeffs.T @ self.matrix.reshape(len(self.degrees), -1)).T
         orders, _, n_phi = self._trig.shape
         n_t = self._x.shape[-1]
         flat = coeffs.reshape(len(self.degrees), -1)

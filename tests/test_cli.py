@@ -223,6 +223,7 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         # A perturbation whose squared length, or the perturbation itself, overflows.
         (["flow", "--kappa", "1", "--perturb", "1e300", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa", "1", "--perturb", "1.7e308", "--out", "{tmp}/t.csv"], None),
+        (["flow", "--kappa", "1", "--perturb", "1e200", "--steps", "3", "--out", "{tmp}/t.csv"], None),
         # A weight whose force, or the iterate it moves, overflows within the flow.
         (["flow", "--kappa", "1e300", "--steps", "2", "--out", "{tmp}/t.csv"], None),
         (["flow", "--kappa=-1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
@@ -296,6 +297,16 @@ def test_exponent_form_negative_numbers_are_values(exponent, decimal, tmp_path, 
         outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{name}*"))])
     assert outputs[0] == outputs[1]
     assert all(outputs[0])
+
+
+@pytest.mark.parametrize("perturb", ["1.7e308", "1e300", "1e200"])
+def test_an_overflowing_perturbation_is_named(perturb, tmp_path, capsys):
+    # The perturbation itself overflows, or the start's squared lengths do.
+    argv = ["flow", "--kappa", "1", "--perturb", perturb, "--steps", "3", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --perturb {float(perturb):g} gives no unit start field: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flow_with_a_non_finite_energy_exits_2_without_a_trajectory(tmp_path, capsys):

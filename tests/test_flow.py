@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -373,6 +375,20 @@ def test_flow_matches_reference_loop_bitwise(kappa, band, dt, steps, record_ever
     assert np.array_equal(result.state.field.values, final)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, 1.0])
+@pytest.mark.parametrize("band", [10, 12])
+def test_flow_above_the_dense_crossover_matches_reference_loop(kappa, band):
+    # Above band 9 the scalar basis transforms through its separable tables, the
+    # reference through the dense ones, so they agree to rounding, not bitwise.
+    grid = verification_grid(band)
+    u0 = _perturbed_normal(grid, 0.05)
+    dt = 0.5 / (band * (band + 1))
+    result = gradient_flow(u0, kappa, dt, 40, band)
+    records, final = _reference_flow(u0, kappa, dt, 40, band, 1)
+    assert_allclose([astuple(r) for r in result.records], [astuple(r) for r in records], rtol=1e-11, atol=0)
+    assert_allclose(result.state.field.values, final, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("kappa", [-1.0, 2.0])
 @pytest.mark.parametrize("band, dt, steps, record_every", [(4, 0.02, 100, 1), (8, 0.5 / 72, 60, 7)])
 def test_flow_from_the_unperturbed_normal_matches_reference_loop_bitwise(kappa, band, dt, steps, record_every):
@@ -383,6 +399,26 @@ def test_flow_from_the_unperturbed_normal_matches_reference_loop_bitwise(kappa, 
     records, final = _reference_flow(u0, kappa, dt, steps, band, record_every)
     assert result.records == records
     assert result.state.field.values.tobytes() == final.tobytes()
+
+
+def test_component_dot_bytes_are_the_summed_products():
+    # Every pair of triples over signed zeros, ones, subnormals, an infinity and NaN,
+    # one pair per node, and the stacked pair the distances reduce: a sum of three
+    # -0.0 products (or of products that underflow to -0.0) is +0.0, as in np.sum.
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 1e-320, -1e-320, np.inf, np.nan])
+    triples = np.array(list(itertools.product(pool, repeat=3)))
+    a = np.repeat(triples, len(triples), axis=0)
+    b = np.tile(triples, (len(triples), 1))
+    rows = np.stack([a.T, b.T])
+    with np.errstate(invalid="ignore"):
+        products = a * b
+        expected = np.sum(products, axis=-1)
+        got = flow._dot(rows[0], rows[1], np.empty(len(a)), np.empty(rows[0].shape))
+        stacked = flow._dot(rows, rows[::-1], np.empty((2, len(a))), np.empty(rows.shape))
+    negative_zeros = np.all(products == 0.0, axis=-1) & np.all(np.signbit(products), axis=-1)
+    assert negative_zeros.sum() > 0 and np.signbit(expected[negative_zeros]).sum() == 0
+    assert got.tobytes() == expected.tobytes()
+    assert stacked.tobytes() == np.stack([expected, expected]).tobytes()
 
 
 @pytest.mark.parametrize("kappa", [-1.5, 0.0, 1.2])

@@ -69,15 +69,15 @@ MUTANTS = (
     Mutant(
         "grid: synthesis through the weighted table",
         "src/sphere_poincare/grid.py",
-        "return self.matrix.reshape(len(self.degrees), -1).T @ coeffs",
-        "return self._weighted.T @ coeffs",
+        "return (coeffs.T @ self.matrix.reshape(len(self.degrees), -1)).T",
+        "return (coeffs.T @ self._weighted).T",
         (_BASIS_BYTES + "::test_scalar_basis_bytes_match_reference",
          "tests/test_grid.py::test_scalar_roundtrip_band_limited"),
     ),
     Mutant(
         "flow: no band projection before renormalizing",
         "src/sphere_poincare/flow.py",
-        "candidate = basis.synthesize(basis.analyze(candidate))",
+        "candidate = _synthesized(basis, basis.analyze(candidate.T))",
         "candidate = candidate",
         (_REFERENCE_FLOW,),
     ),
@@ -171,15 +171,15 @@ MUTANTS = (
     Mutant(
         "flow: perturbed cross product",
         "src/sphere_poincare/flow.py",
-        "return v1 * f2 - v2 * f1, v2 * f0 - v0 * f2, v0 * f1 - v1 * f0",
-        "return v1 * f2 + v2 * f1, v2 * f0 + v0 * f2, v0 * f1 + v1 * f0",
+        "row -= np.multiply(values[k], force[j], out=scratch)",
+        "row += np.multiply(values[k], force[j], out=scratch)",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
         "flow: stale radial part after a step",
         "src/sphere_poincare/flow.py",
-        "radial = _dot3(candidate, normal, work.radial)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
-        "new_energy = _energy(basis, coeffs, _dot3(candidate, normal), weights, kappa, work)",
+        "radial = _dot(candidate, normal, work.radial, work.rows)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
+        "new_energy = _energy(basis, coeffs, _dot(candidate, normal, np.empty(len(weights)), work.rows), weights, kappa, work)",
         (_REFERENCE_FLOW,),
     ),
     # The lean flow step.
@@ -200,8 +200,8 @@ MUTANTS = (
     Mutant(
         "flow: one residual column with its factors swapped",
         "src/sphere_poincare/flow.py",
-        "v2 * f0 - v0 * f2",
-        "v0 * f2 - v2 * f0",
+        "zip(out, (1, 2, 0), (2, 0, 1))",
+        "zip(out, (1, 0, 0), (2, 2, 1))",
         ("tests/test_flow.py::test_el_residual_is_the_cross_product_bitwise",),
     ),
     Mutant(
@@ -243,8 +243,8 @@ MUTANTS = (
     Mutant(
         "flow: per-node broadcasts with a row's scalar taken from the wrong node",
         "src/sphere_poincare/flow.py",
-        'op(values.T, per_node, out=out.T, order="C")',
-        'op(values.T, per_node[::-1], out=out.T, order="C")',
+        "np.multiply(u, radial, out=work.rows)",
+        "np.multiply(u, radial[::-1], out=work.rows)",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
@@ -511,7 +511,7 @@ MUTANTS = (
     Mutant(
         "flow: normalize_field squares a short sample",
         "src/sphere_poincare/flow.py",
-        "values[short] /= largest[short, None]",
+        "rows[:, short] /= largest[short]",
         "pass",
         ("tests/test_flow.py::test_normalize_field_scales_a_short_sample_up_first",),
     ),
@@ -670,8 +670,8 @@ MUTANTS = (
     Mutant(
         "flow: the step divides by its lengths unchecked",
         "src/sphere_poincare/flow.py",
-        "_unit_rows(candidate, candidate, work.scalar)",
-        "_rows(np.divide, candidate, np.sqrt(_dot3(candidate, candidate)), candidate)",
+        "_unit_rows(candidate, candidate, work.scalar, work.rows)",
+        "np.divide(candidate, np.sqrt(_dot(candidate, candidate, work.scalar, work.rows)), out=candidate)",
         ("tests/test_flow.py::test_flow_aborts_at_the_step_whose_sample_lengths_overflow",),
     ),
     Mutant(
@@ -694,6 +694,29 @@ MUTANTS = (
         "grad *= dt\n",
         "grad *= dt\n        grad *= dt\n",
         (_RATE,),
+    ),
+    # The component-major kernels: each pointwise dot starts from +0.0, the
+    # samples leave in node order, and the separable route runs the same loop.
+    Mutant(
+        "flow: the component dot starts from its first product, not from +0.0",
+        "src/sphere_poincare/flow.py",
+        "return np.add.reduce(products, axis=-2, out=out)",
+        "return np.add.reduce(products, axis=-2, out=out, initial=None)",
+        ("tests/test_flow.py::test_component_dot_bytes_are_the_summed_products",),
+    ),
+    Mutant(
+        "flow: a returned field reads the rows without transposing them back",
+        "src/sphere_poincare/flow.py",
+        "np.ascontiguousarray(rows.T).reshape(grid.n_t, grid.n_phi, 3)",
+        "rows.reshape(grid.n_t, grid.n_phi, 3)",
+        (_REFERENCE_FLOW,),
+    ),
+    Mutant(
+        "flow: the force's Laplacian skips the degree-n eigenvalues",
+        "src/sphere_poincare/flow.py",
+        "lap = _synthesized(basis, basis.eigenvalues[:, None] * coeffs)",
+        "lap = _synthesized(basis, coeffs)",
+        ("tests/test_flow.py::test_flow_above_the_dense_crossover_matches_reference_loop",),
     ),
 )
 
