@@ -320,15 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    given = {name: v if isinstance(v, (list, tuple)) else [v] for name, v in vars(args).items()}
+    floats = {f"--{name.replace('_', '-')}": vs for name, vs in given.items() if all(isinstance(v, float) for v in vs)}
     try:
-        for name, value in vars(args).items():
-            values = value if isinstance(value, (list, tuple)) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ValueError(f"--{name.replace('_', '-')} must be finite")
+        for option, values in floats.items():
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{option} must be finite")
         # A numpy overflow, invalid or divide event is one error line, never warnings and a PASS.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except (ValueError, RuntimeError, OSError, FloatingPointError) as exc:
+        if isinstance(exc, FloatingPointError):  # numpy's text names the operation; add the command and its floats
+            shown = (f"{option}={' '.join(map(repr, values))}" for option, values in floats.items())
+            exc = f"{' '.join([args.command, *shown])}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

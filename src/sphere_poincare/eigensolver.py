@@ -109,8 +109,8 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     values[2::2] = nstar
     best = float(values.min())
     tol = _TIE_TOL * max(1.0, abs(best))
-    channels = [(0, "scalar")] + [(int(k), kind) for k in n for kind in ("block", "u3")]
-    winners = tuple(channels[i] for i in np.flatnonzero(values - best <= tol))
+    hits = np.flatnonzero(values - best <= tol).tolist()
+    winners = tuple(((i + 1) // 2, "block" if i % 2 else "u3") if i else (0, "scalar") for i in hits)
     return best, winners
 
 

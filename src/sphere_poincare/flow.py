@@ -11,16 +11,15 @@ The flow loop and the public diagnostics (``normalize_field``,
 ``project_tangent``, ``el_residual``, ``saturated_energy``,
 ``distance_to_normals``) share one set of kernels, so each quantity has
 a single implementation.  The kernels hold a field component-major, as
-C-contiguous (3, nodes) rows: a pointwise dot is one multiply and one
-reduction over the rows, a per-node scalar times a field is one
-(3, nodes) * (nodes,) product, and the cross product is six row products
-and three row differences.  Samples change layout where they enter (one
-transposed copy of the start field or of a diagnostic's input) and
-where they leave (one of the final or returned field); the scalar
-transforms read the rows through their transpose.  Trajectories keep
-the bits of the node-major loop.  On 18 x 35 at band 8, with a
-trajectory row every step, the four transforms take about 40 % of a
-step and the pointwise work and the row about 60 %.
+C-contiguous (3, nodes) rows: the pointwise dot and cross product are
+``grid``'s row kernels ``_dot`` and ``_cross``, and a per-node scalar
+times a field is one (3, nodes) * (nodes,) product.  Samples change
+layout where they enter (one transposed copy of the start field or of a
+diagnostic's input) and where they leave (one of the final or returned
+field); the scalar transforms read the rows through their transpose.
+Trajectories keep the bits of the node-major loop.  On 18 x 35 at band
+8, with a trajectory row every step, the four transforms take about
+40 % of a step and the pointwise work and the row about 60 %.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ import numpy as np
 from .grid import (
     FOUR_PI,
     SampledVectorField,
+    _cross,
+    _dot,
     _dot3,
     _write_text,
     dirichlet_energy_scalar_route,
@@ -86,12 +87,9 @@ def project_tangent(u: SampledVectorField, w: SampledVectorField) -> SampledVect
     return _field(u.grid, _tangent_part(rows, _rows_of(u.values), rows, _Work(rows.shape[1])))
 
 
-# Kernels shared by the public diagnostics and the flow loop, on (3, nodes)
-# rows and the (modes, 3) coefficients of the node-major scalar basis
-# transform.  The caller converts the normal (grid.frame[2]) once and
-# computes u.n once per field.  Each kernel writes its intermediates into
-# a _Work, which the flow allocates once per run and a diagnostic once per
-# call.
+# Kernels shared by the diagnostics and the flow loop, on (3, nodes) rows and
+# (modes, 3) coefficients.  The caller converts the normal once and computes
+# u.n once per field; the flow allocates one _Work per run, a diagnostic one per call.
 
 
 class _Work:
@@ -114,18 +112,6 @@ def _rows_of(values: np.ndarray) -> np.ndarray:
 def _field(grid, rows: np.ndarray) -> SampledVectorField:
     """The field on ``grid`` whose samples are the (3, nodes) ``rows``, copied node-major."""
     return SampledVectorField(grid=grid, values=np.ascontiguousarray(rows.T).reshape(grid.n_t, grid.n_phi, 3))
-
-
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Pointwise dot over the component axis -2, into ``out``; the products go into ``products`` (which may be a).
-
-    The reduction starts from its documented default ``initial``,
-    ``np.add.identity`` (+0.0), so a sum of three -0.0 products is +0.0:
-    the bytes of ``grid._dot3`` on the node-major samples.  Spelling out
-    ``initial=0.0`` would change no bit and slow every call.
-    """
-    np.multiply(a, b, out=products)
-    return np.add.reduce(products, axis=-2, out=out)
 
 
 def _synthesized(basis, coeffs: np.ndarray) -> np.ndarray:
@@ -172,14 +158,6 @@ def _force(basis, coeffs, radial, normal, kappa: float, work: _Work) -> np.ndarr
     lap = _synthesized(basis, basis.eigenvalues[:, None] * coeffs)
     lap += np.multiply(normal, np.multiply(radial, kappa, out=work.scalar), out=work.rows)
     return lap
-
-
-def _cross(values: np.ndarray, force: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """values x force into ``out``, row by row with the products np.cross forms; ``scratch`` holds one row."""
-    for row, j, k in zip(out, (1, 2, 0), (2, 0, 1)):
-        np.multiply(values[j], force[k], out=row)
-        row -= np.multiply(values[k], force[j], out=scratch)
-    return out
 
 
 def _distances(values, normal, weights, work: _Work) -> tuple[float, float]:

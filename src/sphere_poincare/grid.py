@@ -164,17 +164,34 @@ def _same_grid(a, b) -> None:
         raise ValueError("fields live on different grids")
 
 
-def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise dot product over the trailing length-3 axis, into ``out`` if given.
+# The pointwise kernels of every route, on node-major (..., 3) samples or
+# component-major (3, ...) rows.  A dot sums its products from +0.0, as
+# np.sum does, so three -0.0 products give +0.0: _dot3 adds the +0.0 last,
+# and np.add.reduce starts from np.add.identity (spelling out initial=0.0
+# would change no bit and slow every call).  The cross product forms
+# np.cross's products in its order.
 
-    Bytes equal to ``np.sum(a * b, axis=-1)`` without its reduction
-    overhead: the sum starts from +0.0, hence the trailing ``+ 0.0``,
-    which turns a sum of three -0.0 products into +0.0.
-    """
+
+def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise dot over the trailing length-3 axis, into ``out`` if given: ``np.sum(a * b, axis=-1)``'s bytes."""
     p = a * b
     out = np.add(p[..., 0], p[..., 1], out=out)
     out += p[..., 2]
     out += 0.0
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Pointwise dot over the component axis -2, into ``out``; the products go into ``products`` (which may be a)."""
+    np.multiply(a, b, out=products)
+    return np.add.reduce(products, axis=-2, out=out)
+
+
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """a x b over the leading component axis, into ``out``; ``scratch`` holds one component's second products."""
+    for row, j, k in zip(out, (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=row)
+        row -= np.multiply(a[k], b[j], out=scratch)
     return out
 
 
@@ -269,8 +286,9 @@ class ScalarBasis:
         self._grid = weakref.ref(grid)
         self._dense = band_limit <= _DENSE_MAX_BAND + 1
         if self._dense:
-            # Kept precomputed: every analysis' bits depend on this table times the values.
-            self._weighted = np.multiply(self.matrix.reshape(n.size, -1), grid.weights.reshape(-1))
+            # The flat (modes, nodes) table and its weighted copy, kept: every transform's bits depend on them.
+            self._table = self.matrix.reshape(n.size, -1)
+            self._weighted = np.multiply(self._table, grid.weights.reshape(-1))
             return
         orders = range(band_limit + 1)
         norms = np.array([[_norm_factor(d, m) if m <= d else 0.0 for d in orders] for m in orders])
@@ -307,7 +325,7 @@ class ScalarBasis:
         if self._dense:
             # The bytes of table.T @ coeffs, faster; a (nodes, k) result is the
             # transpose of a C-ordered (k, nodes) array, which the flow reads without a copy.
-            return (coeffs.T @ self.matrix.reshape(len(self.degrees), -1)).T
+            return (coeffs.T @ self._table).T
         orders, _, n_phi = self._trig.shape
         n_t = self._x.shape[-1]
         flat = coeffs.reshape(len(self.degrees), -1)

@@ -25,6 +25,7 @@ from .grid import (
     _DENSE_MAX_BAND,
     Grid,
     SampledVectorField,
+    _cross,
     _dot3,
     _live_grid,
     _require_resolution,
@@ -233,9 +234,9 @@ def _family_blocks(frame, y, d_phi, d_t, n, radial, gradient, curl) -> None:
     ``curl`` (rows of ``d_phi``, ..., 3) get y2 = (e_phi dY/dphi / s +
     e_t s dY/dt) / sqrt(n(n+1)) and normal x y2 from the rows dY/dphi and
     dY/dt of degrees ``n`` >= 1.  Every entry has the bits of the per-mode
-    formula and of ``np.cross`` (same products, same order).  The curl
-    block and the dY/dphi and dY/dt rows, which are overwritten, serve as
-    scratch, so no block-sized temporary is made.
+    formula and of ``np.cross``, whose products ``grid._cross`` forms.  The
+    curl block and the dY/dphi and dY/dt rows, which are overwritten, serve
+    as scratch, so no block-sized temporary is made.
     """
     eps_phi, eps_t, normal = frame
     s = eps_t[..., 2]  # sqrt(1 - t^2)
@@ -245,10 +246,8 @@ def _family_blocks(frame, y, d_phi, d_t, n, radial, gradient, curl) -> None:
     np.multiply(eps_phi, d_phi[..., None], out=gradient)
     gradient += np.multiply(eps_t, d_t[..., None], out=curl)  # the curl block is still free
     gradient /= np.sqrt(n * (n + 1)).reshape((-1,) + (1,) * d_t.ndim)
-    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        # np.cross: curl_k = normal_a y2_b - normal_b y2_a, with d_phi as its temporary.
-        np.multiply(normal[..., a], gradient[..., b], out=curl[..., k])
-        np.subtract(curl[..., k], np.multiply(normal[..., b], gradient[..., a], out=d_phi), out=curl[..., k])
+    # curl = normal x y2 on component-major views, the dY/dphi rows the kernel's scratch.
+    _cross(*(np.moveaxis(block, -1, 0) for block in (normal, gradient, curl)), d_phi)
 
 
 def eval_vsh(mode: ModeIndex, phi, t) -> np.ndarray:

@@ -241,6 +241,7 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         # A step whose sample lengths overflow, and a weight whose numeric route overflows.
         (["flow", "--kappa", "1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
         (["minimize", "--kappa=-1e300", "--out", "{tmp}/m"], None),
+        (["minimize", "--kappa=-1e300", "--method", "numeric", "--out", "{tmp}/m"], None),
     ],
 )
 def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
@@ -253,6 +254,14 @@ def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkey
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["closed", "numeric"])
+def test_floating_point_error_names_the_command_and_its_float_options(method, tmp_path, capsys):
+    assert main(["minimize", "--kappa=-1e300", "--method", method, "--out", str(tmp_path / "m")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == "error: minimize --kappa=-1e+300 --tol=1e-08: overflow encountered in multiply\n"
 
 
 @pytest.mark.parametrize(

@@ -234,6 +234,20 @@ def test_flow_rejects_non_unit_start():
         gradient_flow(bad, kappa=0.0, dt=0.01, steps=10, band_limit=4)
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        ({"steps": 0}, "need at least one step"),
+        ({"record_every": 0}, "record_every must be positive"),
+        ({"band_limit": 0}, "band limit must resolve at least degree 1"),
+    ],
+)
+def test_flow_rejects_a_count_below_one(count, message):
+    u0 = normal_field(verification_grid(4))
+    with pytest.raises(ValueError, match=message):
+        gradient_flow(u0, **{"kappa": 0.0, "dt": 0.01, "steps": 10, "band_limit": 4, **count})
+
+
 @pytest.mark.parametrize("kappa, values", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
 def test_flow_rejects_non_finite_input(kappa, values):
     grid = verification_grid(4)

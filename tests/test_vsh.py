@@ -231,6 +231,15 @@ def test_synthesize_empty_and_linear(grid4, rng):
     assert np.max(np.abs(lhs.values - rhs)) < 1e-13
 
 
+@pytest.mark.parametrize("band", [2, 6])
+def test_synthesize_rebands_a_table_of_another_band(band, grid4, rng):
+    # A band-2 table is zero-padded to the basis band 4, a band-6 table truncated.
+    basis = vector_basis(grid4, 4)
+    coeffs = random_coeffs(band, rng)
+    expected = basis.synthesize(coeffs.with_band_limit(4)).values
+    assert basis.synthesize(coeffs).values.tobytes() == expected.tobytes()
+
+
 def test_analyze_normal_field(grid4):
     coeffs = analyze(normal_field(grid4), 3)
     for mode in mode_list(3):

@@ -3,12 +3,12 @@
     python3 tools/mutate.py
 
 A row is (name, file, exact snippet, replacement, tests).  For each row
-the tool copies ``src/``, ``tests/`` and ``pyproject.toml`` of this
-checkout into a temporary directory, replaces the snippet there (it must
-occur exactly once in the file) and runs the row's tests with pytest.
-The mutant is killed when a test fails (pytest exit 1).  Before any
-mutant runs, every row's tests run once on an unmutated copy and must
-pass, so a kill means a test caught the edit.  A mutant that breaks
+the tool copies ``src/``, ``tests/``, ``tools/`` and ``pyproject.toml``
+of this checkout into a temporary directory, replaces the snippet there
+(it must occur exactly once in the file) and runs the row's tests with
+pytest.  The mutant is killed when a test fails (pytest exit 1).  Before
+any mutant runs, every row's tests run once on an unmutated copy and
+must pass, so a kill means a test caught the edit.  A mutant that breaks
 collection or the run itself (an import or syntax error: pytest exit 2
 or above) is an error, not a kill.
 
@@ -29,7 +29,7 @@ import time
 from typing import NamedTuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_COPIED = ("src", "tests", "pyproject.toml")
+_COPIED = ("src", "tests", "tools", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -69,7 +69,7 @@ MUTANTS = (
     Mutant(
         "grid: synthesis through the weighted table",
         "src/sphere_poincare/grid.py",
-        "return (coeffs.T @ self.matrix.reshape(len(self.degrees), -1)).T",
+        "return (coeffs.T @ self._table).T",
         "return (coeffs.T @ self._weighted).T",
         (_BASIS_BYTES + "::test_scalar_basis_bytes_match_reference",
          "tests/test_grid.py::test_scalar_roundtrip_band_limited"),
@@ -134,8 +134,8 @@ MUTANTS = (
     Mutant(
         "eigensolver: channel kinds swapped",
         "src/sphere_poincare/eigensolver.py",
-        'for kind in ("block", "u3")]',
-        'for kind in ("u3", "block")]',
+        '"block" if i % 2 else "u3"',
+        '"u3" if i % 2 else "block"',
         ("tests/test_eigensolver.py::test_gamma_numeric_is_the_per_degree_sweep",),
     ),
     Mutant(
@@ -170,9 +170,9 @@ MUTANTS = (
     ),
     Mutant(
         "flow: perturbed cross product",
-        "src/sphere_poincare/flow.py",
-        "row -= np.multiply(values[k], force[j], out=scratch)",
-        "row += np.multiply(values[k], force[j], out=scratch)",
+        "src/sphere_poincare/grid.py",
+        "row -= np.multiply(a[k], b[j], out=scratch)",
+        "row += np.multiply(a[k], b[j], out=scratch)",
         (_REFERENCE_FLOW,),
     ),
     Mutant(
@@ -199,7 +199,7 @@ MUTANTS = (
     ),
     Mutant(
         "flow: one residual column with its factors swapped",
-        "src/sphere_poincare/flow.py",
+        "src/sphere_poincare/grid.py",
         "zip(out, (1, 2, 0), (2, 0, 1))",
         "zip(out, (1, 0, 0), (2, 2, 1))",
         ("tests/test_flow.py::test_el_residual_is_the_cross_product_bitwise",),
@@ -359,8 +359,8 @@ MUTANTS = (
     Mutant(
         "vsh: family-3 cross product with its operands swapped",
         "src/sphere_poincare/vsh.py",
-        "((1, 2), (2, 0), (0, 1))",
-        "((2, 1), (0, 2), (1, 0))",
+        "for block in (normal, gradient, curl))",
+        "for block in (gradient, normal, curl))",
         (_FAMILY_BLOCKS,),
     ),
     Mutant(
@@ -373,8 +373,8 @@ MUTANTS = (
     Mutant(
         "vsh: the cross product's second products in a fresh array, not in dY/dphi",
         "src/sphere_poincare/vsh.py",
-        "np.multiply(normal[..., b], gradient[..., a], out=d_phi)",
-        "normal[..., b] * gradient[..., a]",
+        "curl)), d_phi)",
+        "curl)), None)",
         ("tests/test_vsh.py::test_lazy_band20_matrix_peaks_one_family_block_above_the_table",),
     ),
     Mutant(
@@ -699,7 +699,7 @@ MUTANTS = (
     # samples leave in node order, and the separable route runs the same loop.
     Mutant(
         "flow: the component dot starts from its first product, not from +0.0",
-        "src/sphere_poincare/flow.py",
+        "src/sphere_poincare/grid.py",
         "return np.add.reduce(products, axis=-2, out=out)",
         "return np.add.reduce(products, axis=-2, out=out, initial=None)",
         ("tests/test_flow.py::test_component_dot_bytes_are_the_summed_products",),
@@ -717,6 +717,14 @@ MUTANTS = (
         "lap = _synthesized(basis, basis.eigenvalues[:, None] * coeffs)",
         "lap = _synthesized(basis, coeffs)",
         ("tests/test_flow.py::test_flow_above_the_dense_crossover_matches_reference_loop",),
+    ),
+    # The portable byte contract.
+    Mutant(
+        "sharp: gamma table rows rounded to 15 digits",
+        "src/sphere_poincare/sharp.py",
+        'f"{kappa!r},{gam!r},',
+        'f"{kappa!r},{gam:.15g},',
+        ("tests/test_portable_outputs.py::test_portable_outputs_match_the_committed_listing",),
     ),
 )
 
