@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,7 +66,28 @@ def _block_entries(nstar, kappa):
 
 def _smaller_eigenvalue(a, b, d):
     """Smaller eigenvalue of the symmetric [[a, b], [b, d]], elementwise over arrays."""
-    return 0.5 * ((a + d) - np.sqrt((a - d) * (a - d) + 4.0 * b * b))
+    return _smaller_root(a, d, 4.0 * b * b)
+
+
+def _smaller_root(a, d, four_b_sq):
+    """``_smaller_eigenvalue`` with 4 b^2 given, as a sweep keeps it from one weight to the next."""
+    return 0.5 * ((a + d) - np.sqrt((a - d) * (a - d) + four_b_sq))
+
+
+@lru_cache(maxsize=8)
+def _channel_parts(n_max: int) -> tuple[np.ndarray, ...]:
+    """The weight-free parts of the candidates up to ``n_max``, read-only: a - kappa,
+    d = n* and 4 b^2 of every degree's block, and a candidate row holding the u3 values n*."""
+    n = np.arange(1, n_max + 1)
+    nstar = (n * (n + 1)).astype(float)
+    # n* + 2 + 0.0 is n* + 2, so adding kappa later gives _block_entries's a bit for bit.
+    a_free, b, d = _block_entries(nstar, 0.0)
+    row = np.zeros(2 * n_max + 1)
+    row[2::2] = nstar
+    parts = (a_free, d, 4.0 * b * b, row)
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 def min_eigenpair(blk: SpectralBlock) -> tuple[float, np.ndarray]:
@@ -96,17 +118,19 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     ``"block"`` and ``"u3"``, in candidate order.  The blocks of all
     degrees are solved in one array pass, from the ``_block_entries``
     that ``block`` also reads and with the eigenvalue formula of
-    ``min_eigenpair``.
+    ``min_eigenpair``.  The parts that depend on ``n_max`` alone (n*,
+    4 b^2 and the u3 slots) come from a small per-``n_max`` cache of
+    read-only arrays, so a sweep over weights builds them once.  A sweep
+    still makes one call per weight (the lemma suite's 401), as its tests
+    count those calls and spoil single ones.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    n = np.arange(1, n_max + 1)
-    nstar = (n * (n + 1)).astype(float)
+    a_free, d, four_b_sq, row = _channel_parts(n_max)
     # Candidate order: the scalar, then (block, u3) per degree.
-    values = np.empty(2 * n_max + 1)
+    values = row.copy()
     values[0] = kappa + 2.0
-    values[1::2] = _smaller_eigenvalue(*_block_entries(nstar, kappa))
-    values[2::2] = nstar
+    values[1::2] = _smaller_root(a_free + kappa, d, four_b_sq)
     best = float(values.min())
     tol = _TIE_TOL * max(1.0, abs(best))
     hits = np.flatnonzero(values - best <= tol).tolist()

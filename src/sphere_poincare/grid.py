@@ -195,15 +195,20 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -
     return out
 
 
+def _integral(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Surface integrals of node values (..., n_t, n_phi), one per field; each sums as it would alone."""
+    return np.sum(grid.weights * values, axis=(-2, -1))
+
+
 def integrate(f: SampledScalarField) -> float:
     """Surface integral of a sampled scalar field."""
-    return float(np.sum(f.grid.weights * f.values))
+    return float(_integral(f.grid, f.values))
 
 
 def inner_product(u: SampledVectorField, v: SampledVectorField) -> float:
     """L2 inner product of two sampled vector fields on the same grid."""
     _same_grid(u, v)
-    return float(np.sum(u.grid.weights * _dot3(u.values, v.values)))
+    return float(_integral(u.grid, _dot3(u.values, v.values)))
 
 
 def tangent_frame(phi, t):
@@ -260,7 +265,10 @@ class ScalarBasis:
     Coefficients are in (n, j) order.  The transforms are node-major:
     samples are (n_nodes,) or (n_nodes, k) in t-major node order,
     coefficients (modes,) or (modes, k); the pair is exact for
-    band-limited data on a sufficiently resolved grid.
+    band-limited data on a sufficiently resolved grid.  ``analyze`` and
+    ``dirichlet`` also take stacks (..., n_nodes, k) and (..., modes, k);
+    on the dense route each table keeps the bits it has alone.  Any other
+    shape raises ValueError.
 
     Up to band ``_DENSE_MAX_BAND + 1`` the transforms contract ``matrix``,
     the (modes, n_t, n_phi) node values of every Y_{n,j}.  Above it they
@@ -284,6 +292,7 @@ class ScalarBasis:
         self.degrees = list(zip(n.tolist(), j.tolist()))
         self.eigenvalues = (n * (n + 1)).astype(float)
         self._grid = weakref.ref(grid)
+        self._nodes = grid.n_nodes
         self._dense = band_limit <= _DENSE_MAX_BAND + 1
         if self._dense:
             # The flat (modes, nodes) table and its weighted copy, kept: every transform's bits depend on them.
@@ -309,9 +318,15 @@ class ScalarBasis:
         return scalar_sh_table(self.band_limit, grid.phi[None, :], grid.t[:, None])
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients (u, Y_{n,j}) of node-major samples."""
+        """Coefficients (u, Y_{n,j}) of node-major samples, (n_nodes,), (n_nodes, k) or (..., n_nodes, k)."""
+        _check_rows(values, self._nodes, "samples", stacks=True)
         if self._dense:
+            # A stack is one product per table, so each keeps its bits.
             return self._weighted @ values
+        if values.ndim > 2:  # the stack rides along as more columns
+            lead, k = values.shape[:-2], values.shape[-1]
+            coeffs = self.analyze(np.moveaxis(values, -2, 0).reshape(self._nodes, -1))
+            return np.moveaxis(coeffs.reshape((-1,) + lead + (k,)), 0, -2)
         orders, _, n_phi = self._trig_w.shape
         n_t = self._x_w.shape[-1]
         samples = values.reshape(n_t, n_phi, -1)
@@ -321,7 +336,8 @@ class ScalarBasis:
         return coeffs.reshape(-1, k)[self._slots].reshape((-1,) + values.shape[1:])
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Node-major samples of the coefficients."""
+        """Node-major samples of coefficients (modes,) or (modes, k)."""
+        _check_rows(coeffs, len(self.degrees), "coefficients", stacks=False)
         if self._dense:
             # The bytes of table.T @ coeffs, faster; a (nodes, k) result is the
             # transpose of a C-ordered (k, nodes) array, which the flow reads without a copy.
@@ -336,12 +352,25 @@ class ScalarBasis:
         values = self._trig.reshape(-1, n_phi).T @ by_t.reshape(2 * orders, n_t * k)
         return values.reshape(n_phi, n_t, k).swapaxes(0, 1).reshape((-1,) + coeffs.shape[1:])
 
-    def dirichlet(self, coeffs: np.ndarray) -> float:
-        """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes,) or (modes, k)."""
-        coeffs = coeffs.reshape(len(self.eigenvalues), -1)
+    def dirichlet(self, coeffs: np.ndarray):
+        """Dirichlet energy, the sum of n(n+1) c^2, of coefficients (modes,) or (modes, k),
+        as a float; of a stack (..., modes, k), one per table."""
+        modes = len(self.eigenvalues)
+        _check_rows(coeffs, modes, "coefficients", stacks=True)
+        coeffs = coeffs.reshape(coeffs.shape[:-2] + (modes, -1))
         terms = self.eigenvalues[:, None] * coeffs
         terms *= coeffs
-        return float(np.add.reduce(terms, axis=None))
+        energy = np.add.reduce(terms, axis=(-2, -1))
+        return float(energy) if energy.ndim == 0 else energy
+
+
+def _check_rows(array: np.ndarray, rows: int, what: str, stacks: bool) -> None:
+    """Reject all but (rows,) and (rows, k), and with ``stacks`` (..., rows, k)."""
+    shape = np.shape(array)
+    if shape == (rows,) or (len(shape) == 2 or stacks and len(shape) > 2) and shape[-2] == rows:
+        return
+    allowed = f"({rows},) or ({rows}, k)" + (f" or (..., {rows}, k)" if stacks else "")
+    raise ValueError(f"expected {what} of shape {allowed}, got {shape}")
 
 
 def scalar_basis(grid: Grid, band_limit: int) -> ScalarBasis:
@@ -364,8 +393,13 @@ def dirichlet_energy_scalar_route(u: SampledVectorField, band_limit: int) -> flo
     given limit.  This route never touches the vector-harmonic block
     relations, which makes it an independent oracle for them.
     """
-    basis = scalar_basis(u.grid, band_limit)
-    return basis.dirichlet(basis.analyze(u.values.reshape(-1, 3)))
+    return _scalar_route_dirichlet(u.grid, u.values, band_limit)
+
+
+def _scalar_route_dirichlet(grid: Grid, values: np.ndarray, band_limit: int):
+    """``dirichlet_energy_scalar_route`` of vector samples (..., n_t, n_phi, 3), one per field."""
+    basis = scalar_basis(grid, band_limit)
+    return basis.dirichlet(basis.analyze(values.reshape(values.shape[:-3] + (-1, 3))))
 
 
 def export_vector_field_csv(field_data: SampledVectorField, path) -> None:

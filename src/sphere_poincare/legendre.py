@@ -170,12 +170,40 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
     shape of phi and t; all of them read one Legendre table.  With
     ``grad`` (|t| < 1 only) returns (Y, dY/dphi, dY/dt), stacked alike.
     Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for j = 0.
+
+    One pass per order m writes the rows (n, -m) and (n, m) of every
+    degree n >= m from one cos(m phi) and one sin(m phi), with the bits
+    of the per-mode ``_sh_rows``: cos(-m phi) and sin(-m phi) are
+    cos(m phi) and -sin(m phi) bit for bit.  No temporary is larger than
+    one order's rows.
     """
     table, dt_table = _legendre_tables(band_limit, t, grad)
     phi = np.asarray(phi, dtype=float)
-    degrees = [(n, j) for n in range(band_limit + 1) for j in range(-n, n + 1)]
-    out = tuple(np.empty((len(degrees),) + np.broadcast(phi, t).shape) for _ in range(1 + 2 * grad))
-    for row, (n, j) in enumerate(degrees):
-        for dest, v in zip(out, _sh_rows(n, j, phi, table, dt_table)):
-            dest[row] = v
+    shape = np.broadcast(phi, t).shape
+    # Each table entry has the shape of t, padded on the left to broadcast against phi.
+    entry = (1,) * (len(shape) - np.ndim(t)) + np.shape(t)
+    tables = [tab.reshape(tab.shape[:2] + entry) for tab in (table, dt_table)[: 1 + grad]]
+    out = tuple(np.empty(((band_limit + 1) ** 2,) + shape) for _ in range(1 + 2 * grad))
+    for m in range(band_limit + 1):
+        n = np.arange(m, band_limit + 1)
+        centre = n * (n + 1)  # the row of Y_{n,0}
+        norms = np.array([_norm_factor(d, m) for d in n.tolist()]).reshape((-1,) + (1,) * len(shape))
+        x, *dx = (tab[m:, m] * norms for tab in tables)
+        if m == 0:
+            out[0][centre] = x
+            if grad:
+                out[1][centre] = 0.0
+                out[2][centre] = dx[0]
+            continue
+        cos, sin = np.cos(m * phi), np.sin(m * phi)
+        x *= _SQRT2
+        out[0][centre - m] = x * cos
+        out[0][centre + m] = x * sin
+        if grad:
+            x *= m
+            out[1][centre - m] = x * -sin
+            out[1][centre + m] = x * cos
+            dx = _SQRT2 * dx[0]
+            out[2][centre - m] = dx * cos
+            out[2][centre + m] = dx * sin
     return out if grad else out[0]

@@ -21,15 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    SampledScalarField,
-    SampledVectorField,
-    _dot3,
-    dirichlet_energy_scalar_route,
-    inner_product,
-    integrate,
-    normal_field,
-)
+from .grid import Grid, SampledVectorField, _dot3, _integral, dirichlet_energy_scalar_route
 from .vsh import CoeffSet, analyze
 
 __all__ = [
@@ -76,6 +68,11 @@ def _norm_sq(data: np.ndarray) -> np.ndarray:
     return np.sum(data * data, axis=(-3, -2, -1))
 
 
+def _norm_sq_quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Quadrature-route |u|^2 integrals of samples (..., n_t, n_phi, 3), one per field."""
+    return _integral(grid, _dot3(values, values))
+
+
 def dirichlet_energy(coeffs: CoeffSet) -> float:
     """Surface Dirichlet energy from the coefficient table."""
     return float(_dirichlet(coeffs.data))
@@ -98,14 +95,13 @@ def norm_sq(coeffs: CoeffSet) -> float:
 
 def anisotropy_energy_quadrature(u: SampledVectorField) -> float:
     """Quadrature-route integral of (u . normal)^2."""
-    normal = normal_field(u.grid)
-    radial = _dot3(u.values, normal.values)
-    return integrate(SampledScalarField(grid=u.grid, values=radial * radial))
+    radial = _dot3(u.values, u.grid.frame[2])
+    return float(_integral(u.grid, radial * radial))
 
 
 def norm_sq_quadrature(u: SampledVectorField) -> float:
     """Quadrature-route integral of |u|^2."""
-    return inner_product(u, u)
+    return float(_norm_sq_quadrature(u.grid, u.values))
 
 
 @dataclass
@@ -141,8 +137,19 @@ def _breakdowns(dirichlet, anisotropy, norm, kappas, route: str) -> list[EnergyB
     ]
 
 
-def _relative_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _relative_gap(a, b):
+    """|a - b| / max(1, |a|, |b|), elementwise."""
+    return np.abs(a - b) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def _route_gaps(spectral: tuple, quadrature: tuple, kappas) -> np.ndarray:
+    """Worst relative gap between the routes' (dirichlet, anisotropy) pairs, in
+    those terms and in the total, per field (leading axes) and weight (last axis)."""
+    d, a, dq, aq = (np.asarray(energy)[..., None] for energy in (*spectral, *quadrature))
+    kappas = np.asarray(kappas, dtype=float)
+    terms = np.maximum(_relative_gap(d, dq), _relative_gap(a, aq))
+    totals = _relative_gap(d + kappas * a, dq + kappas * aq)
+    return np.maximum(terms, totals)
 
 
 def _worst(violations) -> float:
@@ -177,24 +184,17 @@ def _energy_reports(subject, kappas, band_limit: int | None = None) -> list[Ener
         raise ValueError("band_limit is required for sampled input")
     else:
         coeffs = analyze(subject, band_limit)
-    reports = _breakdowns(
-        dirichlet_energy(coeffs), anisotropy_energy(coeffs), norm_sq(coeffs), kappas, "spectral"
-    )
+    spectral = dirichlet_energy(coeffs), anisotropy_energy(coeffs), norm_sq(coeffs)
+    reports = _breakdowns(*spectral, kappas, "spectral")
     if coeffs is subject:
         return reports
-    quadrature = _breakdowns(
+    quadrature = (
         # Cartesian components of a band-N vector field are scalar band N+1.
         dirichlet_energy_scalar_route(subject, band_limit + 1),
         anisotropy_energy_quadrature(subject),
         norm_sq_quadrature(subject),
-        kappas,
-        "quadrature",
     )
-    for report, quad in zip(reports, quadrature):
-        report.quadrature = quad
-        report.route_gap = _worst((
-            _relative_gap(report.dirichlet, quad.dirichlet),
-            _relative_gap(report.anisotropy, quad.anisotropy),
-            _relative_gap(report.total, quad.total),
-        ))
+    gaps = _route_gaps(spectral[:2], quadrature[:2], kappas).tolist()
+    for report, quad, gap in zip(reports, _breakdowns(*quadrature, kappas, "quadrature"), gaps):
+        report.quadrature, report.route_gap = quad, gap
     return reports

@@ -3,6 +3,18 @@
 Each suite returns a list of named checks with the measured residual and
 the tolerance it is held to, so reports always show both.  Boolean
 checks are encoded as residual 0/1 against tolerance 0.
+
+Per-draw and per-field work runs as stacked array passes in which each
+table keeps the arithmetic it has alone, so every report keeps its
+bytes: the fuzz draws in blocks of at most ``_BLOCK`` tables, the 50
+orthonormality round trips as one pair of dense einsums, and the
+spectral energies, scalar-route Dirichlet energies, quadrature norms and
+400 route gaps of the 100 energy-routes fields in one pass.  What stays
+one call per field or weight does so because tests count or spoil those
+calls: each energy-routes field has its own ``random_coeffs`` draw, its
+own ``VectorBasis.analyze`` and its own ``anisotropy_energy_quadrature``,
+and the lemma makes one ``gamma_numeric`` call and one minimizer per
+weight, then checks all their entries in one pass.
 """
 
 from __future__ import annotations
@@ -13,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigensolver, sharp, spectral, vsh
-from .grid import FOUR_PI, dirichlet_energy_scalar_route, normal_field, verification_grid
+from .grid import (
+    FOUR_PI,
+    SampledVectorField,
+    _scalar_route_dirichlet,
+    dirichlet_energy_scalar_route,
+    normal_field,
+    verification_grid,
+)
 from .spectral import _worst
 from .vsh import CoeffSet, random_coeffs
 
@@ -63,10 +82,12 @@ def suite_orthonormality(seed: int) -> list[Check]:
         )
     )
 
+    # The 50 round trips as one stacked pair of dense einsums.
     grid4 = verification_grid(4)
-    drawn = (random_coeffs(4, rng) for _ in range(50))
-    errors = (np.abs(vsh.analyze(vsh.synthesize(c, grid4), 4).data - c.data) for c in drawn)
-    checks.append(Check("analyze-synthesize-roundtrip-band4", _worst(errors), 1e-11))
+    basis4 = vsh.vector_basis(grid4, 4)
+    drawn = vsh._random_tables(4, rng, 50)
+    errors = np.abs(basis4._analyze_values(basis4._synthesize_tables(drawn)) - drawn[:, vsh._valid_mask(4)])
+    checks.append(Check("analyze-synthesize-roundtrip-band4", _worst([errors]), 1e-11))
     return checks
 
 
@@ -82,18 +103,27 @@ def suite_energy_routes(seed: int) -> list[Check]:
     gaps = map(identity_gaps, _draw_blocks(1000, 4, rng))
     checks.append(Check("g-kappa-identity", _worst(gaps), 1e-12))
 
+    # energy_report's two routes for 100 fields, each drawn and analyzed on its own
+    # and its anisotropy integrated on its own; the rest is one pass over the stack.
     grid = verification_grid(4)
-    drawn = [random_coeffs(4, rng) for _ in range(100)]
-    reports = [
-        spectral._energy_reports(vsh.synthesize(c, grid), (-8.0, -4.0, 0.0, 6.0), band_limit=4)
-        for c in drawn
-    ]
-    route_gaps = (report.route_gap for field in reports for report in field)
-    checks.append(Check("route-equivalence-band4", _worst(route_gaps), 1e-8))
-    parseval_gaps = (
-        abs(spectral.norm_sq(c) - field[0].quadrature.norm_sq) for c, field in zip(drawn, reports)
+    basis = vsh.vector_basis(grid, 4)
+    drawn = np.stack([random_coeffs(4, rng).data for _ in range(100)])
+    fields = basis._synthesize_tables(drawn)
+    analyzed, anisotropy = [], []
+    for values in fields:
+        field = SampledVectorField(grid=grid, values=values)
+        analyzed.append(basis.analyze(field).data)
+        anisotropy.append(spectral.anisotropy_energy_quadrature(field))
+    analyzed = np.stack(analyzed)
+    route_gaps = spectral._route_gaps(
+        (spectral._dirichlet(analyzed), spectral._anisotropy(analyzed)),
+        # Cartesian components of a band-4 vector field are scalar band 5.
+        (_scalar_route_dirichlet(grid, fields, 5), np.array(anisotropy)),
+        (-8.0, -4.0, 0.0, 6.0),
     )
-    checks.append(Check("parseval-band4", _worst(parseval_gaps), 1e-10))
+    checks.append(Check("route-equivalence-band4", _worst([route_gaps]), 1e-8))
+    parseval_gaps = np.abs(spectral._norm_sq(drawn) - spectral._norm_sq_quadrature(grid, fields))
+    checks.append(Check("parseval-band4", _worst([parseval_gaps]), 1e-10))
 
     normal = normal_field(grid)
     checks.append(
@@ -192,25 +222,27 @@ def suite_equality(seed: int) -> list[Check]:
 
 
 def suite_lemma(seed: int) -> list[Check]:
-    u3_leaks, high_leaks, sign_defects, argmin_excesses = [], [], [], []
+    # One gamma_numeric sweep and one minimizer per weight; their entries are checked in one pass.
+    u3_rows, high_rows, degree1, argmin_excesses = [], [], [], []
     for kappa in map(float, np.linspace(-50.0, 50.0, 201)):
         _, winners = eigensolver.gamma_numeric(kappa, n_max=30)
         argmin_excesses += [n - 1 for n, _ in winners] + [1 for _, kind in winners if kind == "u3"]
-        coeffs = eigensolver._minimizer_from_channels(kappa, winners)
-        u3_leaks.append(np.abs(coeffs.data[2]))
-        high_leaks.append(np.abs(coeffs.data[:, 2:, :]))
-        for j in (-1, 0, 1):
-            u1, u2 = coeffs[(1, 1, j)], coeffs[(2, 1, j)]
-            if abs(u1) > 1e-12 or abs(u2) > 1e-12:
-                sign_defects.append(-u1 * u2)
+        data = eigensolver._minimizer_from_channels(kappa, winners).data
+        band = data.shape[1] - 1
+        u3_rows.append(data[2].ravel())
+        high_rows.append(data[:, 2:, :].ravel())
+        degree1.append(data[:2, 1, band - 1 : band + 2])  # (u1, u2) at j = -1, 0, 1
+    u3_leaks, high_leaks = np.abs(np.concatenate(u3_rows)), np.abs(np.concatenate(high_rows))
+    u1, u2 = np.stack(degree1, axis=1)
+    sign_defects = (-u1 * u2)[(np.abs(u1) > 1e-12) | (np.abs(u2) > 1e-12)]
     gaps = (
         abs(eigensolver.gamma_numeric(kappa, n_max=20)[0] - sharp.gamma(kappa))
         for kappa in map(float, np.linspace(-20.0, 20.0, 200))
     )
     return [
-        Check("minimizer-u3-channel-zero", _worst(u3_leaks), 1e-12),
-        Check("minimizer-no-degree>=2", _worst(high_leaks), 1e-12),
-        Check("minimizer-sign-agreement", _worst(sign_defects), 1e-12),
+        Check("minimizer-u3-channel-zero", _worst([u3_leaks]), 1e-12),
+        Check("minimizer-no-degree>=2", _worst([high_leaks]), 1e-12),
+        Check("minimizer-sign-agreement", _worst([sign_defects]), 1e-12),
         Check("argmin-degree<=1", _worst(argmin_excesses), 0.0),
         Check("gamma-closed-vs-numeric", _worst(gaps), 1e-12),
     ]

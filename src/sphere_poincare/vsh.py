@@ -292,6 +292,10 @@ class VectorBasis:
     y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  There ``matrix`` is
     built only when read, as a dense oracle.
 
+    The dense einsums also run on stacks of tables or samples (the private
+    ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
+    any band); each table keeps the bits it has alone.
+
     The basis refers to its grid weakly: the grid caches its bases, so a
     strong reference back would keep both alive until the cyclic
     garbage collector runs.
@@ -338,8 +342,7 @@ class VectorBasis:
             coeffs = coeffs.with_band_limit(self.band_limit)
         grid = self.grid
         if self.band_limit <= _DENSE_MAX_BAND:
-            values = np.einsum("m,mijk->ijk", coeffs.as_vector(), self.matrix)
-            return SampledVectorField(grid=grid, values=values)
+            return SampledVectorField(grid=grid, values=self._synthesize_tables(coeffs.data))
         # (3, (N+1)^2) in (n, j) order; families 2 and 3 hold zero at n = 0.
         c = coeffs.data[:, _valid_mask(self.band_limit)[0]]
         u_n, a_c, b_c = self._y.T @ c[0], self._a.T @ c[1:].T, self._b.T @ c[1:].T
@@ -353,16 +356,24 @@ class VectorBasis:
         # Products of two band-N vector harmonics have scalar degree 2N + 2.
         _require_resolution(self.grid, self.band_limit + 1)
         _same_grid(u, self)
-        weighted = u.values * self.grid.weights[..., None]
         if self.band_limit <= _DENSE_MAX_BAND:
-            vec = np.einsum("mijk,ijk->m", self.matrix, weighted)
-            return CoeffSet.from_vector(self.band_limit, vec)
+            return CoeffSet.from_vector(self.band_limit, self._analyze_values(u.values))
+        weighted = u.values * self.grid.weights[..., None]
         eps_phi, eps_t, normal = self.grid.frame
         tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)], axis=1)
         c1 = self._y @ _dot3(weighted, normal).reshape(-1)
         a_u, b_u = self._a @ tangential, self._b @ tangential
         c2, c3 = a_u[:, 0] + b_u[:, 1], a_u[:, 1] - b_u[:, 0]
         return CoeffSet.from_vector(self.band_limit, np.concatenate((c1, c2[1:], c3[1:])))
+
+    def _synthesize_tables(self, data: np.ndarray) -> np.ndarray:
+        """Dense-route samples (..., n_t, n_phi, 3) of coefficient tables (..., 3, N+1, 2N+1) at this band."""
+        return np.einsum("...m,mijk->...ijk", data[..., _valid_mask(self.band_limit)], self.matrix)
+
+    def _analyze_values(self, values: np.ndarray) -> np.ndarray:
+        """Dense-route coefficient vectors (..., modes) of samples (..., n_t, n_phi, 3), in canonical mode order."""
+        weighted = values * self.grid.weights[..., None]
+        return np.einsum("mijk,...ijk->...m", self.matrix, weighted)
 
 
 def vector_basis(grid: Grid, band_limit: int) -> VectorBasis:

@@ -366,6 +366,40 @@ def test_dirichlet_takes_the_coefficient_vector_analyze_returns(band):
     assert basis.dirichlet(stacked) == pytest.approx(5.0 * column, rel=1e-13)
 
 
+# Band 4 runs the dense table, band 12 the separable route.
+@pytest.mark.parametrize("band", [4, 12])
+def test_scalar_transforms_reject_every_undocumented_shape(band):
+    grid = verification_grid(band)
+    basis = ScalarBasis(grid, band)
+    nodes, modes = grid.n_nodes, len(basis.degrees)
+    for samples in (np.ones(2 * nodes), np.ones((2 * nodes, 3)), np.ones((nodes, 3, 1)), np.ones(())):
+        with pytest.raises(ValueError, match=rf"expected samples of shape \({nodes},\)"):
+            basis.analyze(samples)
+    for coeffs in (np.ones(2 * modes), np.ones((modes, 3, 1)), np.ones((2, modes, 3)), np.ones(())):
+        with pytest.raises(ValueError, match=rf"expected coefficients of shape \({modes},\)"):
+            basis.synthesize(coeffs)
+    for coeffs in (np.ones(2 * modes), np.ones((modes, 3, 1)), np.ones((modes + 1, 3))):
+        with pytest.raises(ValueError, match=rf"expected coefficients of shape \({modes},\)"):
+            basis.dirichlet(coeffs)
+
+
+@pytest.mark.parametrize("band", [4, 12])
+def test_scalar_analysis_and_dirichlet_of_a_stack_are_per_table(band):
+    grid = verification_grid(band)
+    basis = ScalarBasis(grid, band)
+    samples = np.random.default_rng(band).standard_normal((2, 5, grid.n_nodes, 3))
+    stacked = basis.analyze(samples)
+    assert stacked.shape == (2, 5, len(basis.degrees), 3)
+    alone = np.array([[basis.analyze(table) for table in row] for row in samples])
+    if band <= 9:  # the dense route: one product per table, bit for bit
+        assert stacked.tobytes() == alone.tobytes()
+    else:  # the separable route runs the stack as more columns
+        assert_allclose(stacked, alone, rtol=0, atol=1e-13)
+    energies = basis.dirichlet(alone)
+    assert energies.shape == (2, 5)
+    assert energies.tolist() == [[basis.dirichlet(table) for table in row] for row in alone]
+
+
 def test_dirichlet_scalar_route_normal_field():
     grid = build_grid(8, 17)
     assert_allclose(

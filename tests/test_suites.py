@@ -2,7 +2,13 @@
 
 from collections import Counter
 
+import numpy as np
+import pytest
+
 from sphere_poincare import eigensolver, sharp, suites, vsh
+from sphere_poincare.grid import scalar_basis, verification_grid
+from sphere_poincare.spectral import anisotropy_energy, dirichlet_energy, norm_sq
+from sphere_poincare.vsh import CoeffSet, random_coeffs, vector_basis
 
 
 def _counting(monkeypatch, module, name):
@@ -69,3 +75,71 @@ def test_fuzz_suites_keep_their_draws_in_blocks_of_100(monkeypatch):
     draws.clear()
     suites.suite_energy_routes(0)
     assert draws == [(4, 100, (1, 2, 3), None)] * 10 + [(4, 1, (1, 2, 3), None)] * 100
+
+
+def _relative_gap(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _reference_checks(seed):
+    """The stacked checks of orthonormality and energy-routes, one field at a time
+    with the per-field products: the dense einsums, the weighted scalar table and
+    np.sum's quadrature sums."""
+    grid = verification_grid(4)
+    basis = vector_basis(grid, 4)
+    weights = grid.weights[..., None]
+
+    def synthesized(c):
+        return np.einsum("m,mijk->ijk", c.as_vector(), basis.matrix)
+
+    def analyzed(values):
+        return CoeffSet.from_vector(4, np.einsum("mijk,ijk->m", basis.matrix, values * weights))
+
+    rng = np.random.default_rng(seed)
+    roundtrip = 0.0
+    for _ in range(50):
+        c = random_coeffs(4, rng)
+        roundtrip = max(roundtrip, float(np.max(np.abs(analyzed(synthesized(c)).data - c.data))))
+
+    rng = np.random.default_rng(seed)
+    for _ in range(10):  # the g-kappa identity's draws come first
+        vsh._random_tables(4, rng, 100)
+    scalar = scalar_basis(grid, 5)
+    weighted_table = (scalar.matrix * grid.weights).reshape(len(scalar.degrees), -1)
+    route, parseval = 0.0, 0.0
+    for _ in range(100):
+        c = random_coeffs(4, rng)
+        values = synthesized(c)
+        coeffs = analyzed(values)
+        d, a = dirichlet_energy(coeffs), anisotropy_energy(coeffs)
+        components = weighted_table @ values.reshape(-1, 3)
+        terms = scalar.eigenvalues[:, None] * components
+        terms *= components
+        dq = float(np.add.reduce(terms, axis=None))
+        radial = np.sum(values * grid.frame[2], axis=-1)
+        aq = float(np.sum(grid.weights * (radial * radial)))
+        nq = float(np.sum(grid.weights * np.sum(values * values, axis=-1)))
+        for kappa in (-8.0, -4.0, 0.0, 6.0):
+            gaps = (_relative_gap(d, dq), _relative_gap(a, aq), _relative_gap(d + kappa * a, dq + kappa * aq))
+            route = max(route, *gaps)
+        parseval = max(parseval, abs(norm_sq(c) - nq))
+    return {
+        "analyze-synthesize-roundtrip-band4": roundtrip,
+        "route-equivalence-band4": route,
+        "parseval-band4": parseval,
+    }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_suites_are_the_per_field_loop_bitwise(seed):
+    # energy-routes is host-dependent in tools/output_digest.py, so the
+    # portable-output test cannot see its residuals move; this can, anywhere.
+    expected = _reference_checks(seed)
+    residuals = {
+        check.name: check.residual
+        for suite in (suites.suite_orthonormality, suites.suite_energy_routes)
+        for check in suite(seed)
+    }
+    for name, value in expected.items():
+        assert value > 0.0
+        assert np.float64(residuals[name]).tobytes() == np.float64(value).tobytes(), name
