@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,28 +65,7 @@ def _block_entries(nstar, kappa):
 
 def _smaller_eigenvalue(a, b, d):
     """Smaller eigenvalue of the symmetric [[a, b], [b, d]], elementwise over arrays."""
-    return _smaller_root(a, d, 4.0 * b * b)
-
-
-def _smaller_root(a, d, four_b_sq):
-    """``_smaller_eigenvalue`` with 4 b^2 given, as a sweep keeps it from one weight to the next."""
-    return 0.5 * ((a + d) - np.sqrt((a - d) * (a - d) + four_b_sq))
-
-
-@lru_cache(maxsize=8)
-def _channel_parts(n_max: int) -> tuple[np.ndarray, ...]:
-    """The weight-free parts of the candidates up to ``n_max``, read-only: a - kappa,
-    d = n* and 4 b^2 of every degree's block, and a candidate row holding the u3 values n*."""
-    n = np.arange(1, n_max + 1)
-    nstar = (n * (n + 1)).astype(float)
-    # n* + 2 + 0.0 is n* + 2, so adding kappa later gives _block_entries's a bit for bit.
-    a_free, b, d = _block_entries(nstar, 0.0)
-    row = np.zeros(2 * n_max + 1)
-    row[2::2] = nstar
-    parts = (a_free, d, 4.0 * b * b, row)
-    for part in parts:
-        part.setflags(write=False)
-    return parts
+    return 0.5 * ((a + d) - np.sqrt((a - d) * (a - d) + 4.0 * b * b))
 
 
 def min_eigenpair(blk: SpectralBlock) -> tuple[float, np.ndarray]:
@@ -118,24 +96,30 @@ def gamma_numeric(kappa: float, n_max: int = 20) -> tuple[float, tuple[tuple[int
     ``"block"`` and ``"u3"``, in candidate order.  The blocks of all
     degrees are solved in one array pass, from the ``_block_entries``
     that ``block`` also reads and with the eigenvalue formula of
-    ``min_eigenpair``.  The parts that depend on ``n_max`` alone (n*,
-    4 b^2 and the u3 slots) come from a small per-``n_max`` cache of
-    read-only arrays, so a sweep over weights builds them once.  A sweep
-    still makes one call per weight (the lemma suite's 401), as its tests
-    count those calls and spoil single ones.
+    ``min_eigenpair``.
     """
+    return _sweep([kappa], n_max)[0]
+
+
+def _sweep(kappas, n_max: int) -> list[tuple[float, tuple[tuple[int, str], ...]]]:
+    """``gamma_numeric`` at each of ``kappas``: every block of every weight in one array pass."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    a_free, d, four_b_sq, row = _channel_parts(n_max)
-    # Candidate order: the scalar, then (block, u3) per degree.
-    values = row.copy()
-    values[0] = kappa + 2.0
-    values[1::2] = _smaller_root(a_free + kappa, d, four_b_sq)
-    best = float(values.min())
-    tol = _TIE_TOL * max(1.0, abs(best))
-    hits = np.flatnonzero(values - best <= tol).tolist()
-    winners = tuple(((i + 1) // 2, "block" if i % 2 else "u3") if i else (0, "scalar") for i in hits)
-    return best, winners
+    kappas = np.asarray(kappas, dtype=float)
+    n = np.arange(1, n_max + 1)
+    nstar = (n * (n + 1)).astype(float)
+    # Candidate order per weight: the scalar, then (block, u3) per degree.
+    values = np.empty((len(kappas), 2 * n_max + 1))
+    values[:, 0] = kappas + 2.0
+    values[:, 1::2] = _smaller_eigenvalue(*_block_entries(nstar, kappas[:, None]))
+    values[:, 2::2] = nstar
+    best = values.min(axis=1)
+    tol = _TIE_TOL * np.maximum(1.0, np.abs(best))
+    hits = (np.flatnonzero(row).tolist() for row in values - best[:, None] <= tol[:, None])
+    return [
+        (value, tuple(((i + 1) // 2, "block" if i % 2 else "u3") if i else (0, "scalar") for i in hit))
+        for value, hit in zip(best.tolist(), hits)
+    ]
 
 
 def numeric_minimizer(

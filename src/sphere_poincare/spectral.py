@@ -68,6 +68,12 @@ def _norm_sq(data: np.ndarray) -> np.ndarray:
     return np.sum(data * data, axis=(-3, -2, -1))
 
 
+def _anisotropy_quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Quadrature-route (u . normal)^2 integrals of samples (..., n_t, n_phi, 3), one per field."""
+    radial = _dot3(values, grid.frame[2])
+    return _integral(grid, radial * radial)
+
+
 def _norm_sq_quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Quadrature-route |u|^2 integrals of samples (..., n_t, n_phi, 3), one per field."""
     return _integral(grid, _dot3(values, values))
@@ -95,8 +101,7 @@ def norm_sq(coeffs: CoeffSet) -> float:
 
 def anisotropy_energy_quadrature(u: SampledVectorField) -> float:
     """Quadrature-route integral of (u . normal)^2."""
-    radial = _dot3(u.values, u.grid.frame[2])
-    return float(_integral(u.grid, radial * radial))
+    return float(_anisotropy_quadrature(u.grid, u.values))
 
 
 def norm_sq_quadrature(u: SampledVectorField) -> float:
@@ -128,13 +133,6 @@ class EnergyBreakdown:
                 "route": self.route,
             }
         )
-
-
-def _breakdowns(dirichlet, anisotropy, norm, kappas, route: str) -> list[EnergyBreakdown]:
-    return [
-        EnergyBreakdown(dirichlet, anisotropy, dirichlet + kappa * anisotropy, norm, kappa, route)
-        for kappa in kappas
-    ]
 
 
 def _relative_gap(a, b):
@@ -171,11 +169,6 @@ def energy_report(subject, kappa: float, band_limit: int | None = None) -> Energ
     relative disagreement under ``.route_gap`` (a diagnostic, not an
     error).
     """
-    return _energy_reports(subject, (kappa,), band_limit)[0]
-
-
-def _energy_reports(subject, kappas, band_limit: int | None = None) -> list[EnergyBreakdown]:
-    """``energy_report`` at each of ``kappas``; the subject is analyzed once."""
     if isinstance(subject, CoeffSet):
         coeffs = subject
     elif not isinstance(subject, SampledVectorField):
@@ -184,17 +177,13 @@ def _energy_reports(subject, kappas, band_limit: int | None = None) -> list[Ener
         raise ValueError("band_limit is required for sampled input")
     else:
         coeffs = analyze(subject, band_limit)
-    spectral = dirichlet_energy(coeffs), anisotropy_energy(coeffs), norm_sq(coeffs)
-    reports = _breakdowns(*spectral, kappas, "spectral")
+    dirichlet, anisotropy = dirichlet_energy(coeffs), anisotropy_energy(coeffs)
+    report = EnergyBreakdown(dirichlet, anisotropy, dirichlet + kappa * anisotropy, norm_sq(coeffs), kappa)
     if coeffs is subject:
-        return reports
-    quadrature = (
-        # Cartesian components of a band-N vector field are scalar band N+1.
-        dirichlet_energy_scalar_route(subject, band_limit + 1),
-        anisotropy_energy_quadrature(subject),
-        norm_sq_quadrature(subject),
-    )
-    gaps = _route_gaps(spectral[:2], quadrature[:2], kappas).tolist()
-    for report, quad, gap in zip(reports, _breakdowns(*quadrature, kappas, "quadrature"), gaps):
-        report.quadrature, report.route_gap = quad, gap
-    return reports
+        return report
+    # Cartesian components of a band-N vector field are scalar band N+1.
+    dq = dirichlet_energy_scalar_route(subject, band_limit + 1)
+    aq = anisotropy_energy_quadrature(subject)
+    report.quadrature = EnergyBreakdown(dq, aq, dq + kappa * aq, norm_sq_quadrature(subject), kappa, "quadrature")
+    report.route_gap = _route_gaps((dirichlet, anisotropy), (dq, aq), kappa).item()
+    return report

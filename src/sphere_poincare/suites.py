@@ -4,17 +4,14 @@ Each suite returns a list of named checks with the measured residual and
 the tolerance it is held to, so reports always show both.  Boolean
 checks are encoded as residual 0/1 against tolerance 0.
 
-Per-draw and per-field work runs as stacked array passes in which each
-table keeps the arithmetic it has alone, so every report keeps its
-bytes: the fuzz draws in blocks of at most ``_BLOCK`` tables, the 50
-orthonormality round trips as one pair of dense einsums, and the
-spectral energies, scalar-route Dirichlet energies, quadrature norms and
-400 route gaps of the 100 energy-routes fields in one pass.  What stays
-one call per field or weight does so because tests count or spoil those
-calls: each energy-routes field has its own ``random_coeffs`` draw, its
-own ``VectorBasis.analyze`` and its own ``anisotropy_energy_quadrature``,
-and the lemma makes one ``gamma_numeric`` call and one minimizer per
-weight, then checks all their entries in one pass.
+Per-draw, per-field and per-weight work runs as stacked array passes in
+which each table or weight keeps the arithmetic it has alone, so every
+report keeps its bytes: the fuzz draws in blocks of at most ``_BLOCK``
+tables, the 50 orthonormality round trips as one pair of dense einsums,
+the 100 energy-routes fields (their draw, synthesis, analysis, both
+routes' energies and their 400 route gaps) in one pass, and each lemma
+sweep's weights in one ``eigensolver._sweep``.  The lemma still builds
+one minimizer per weight, then checks all their entries in one pass.
 """
 
 from __future__ import annotations
@@ -27,14 +24,13 @@ import numpy as np
 from . import eigensolver, sharp, spectral, vsh
 from .grid import (
     FOUR_PI,
-    SampledVectorField,
     _scalar_route_dirichlet,
     dirichlet_energy_scalar_route,
     normal_field,
     verification_grid,
 )
 from .spectral import _worst
-from .vsh import CoeffSet, random_coeffs
+from .vsh import CoeffSet
 
 __all__ = ["Check", "SUITES", "run_suite"]
 
@@ -97,28 +93,22 @@ def suite_energy_routes(seed: int) -> list[Check]:
 
     def identity_gaps(data):
         lhs = spectral._g_kappa(data, -3.7)
-        rhs = spectral._dirichlet(data) - 3.7 * spectral._anisotropy(data)
-        return np.abs(lhs - rhs) / np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+        return spectral._relative_gap(lhs, spectral._dirichlet(data) - 3.7 * spectral._anisotropy(data))
 
     gaps = map(identity_gaps, _draw_blocks(1000, 4, rng))
     checks.append(Check("g-kappa-identity", _worst(gaps), 1e-12))
 
-    # energy_report's two routes for 100 fields, each drawn and analyzed on its own
-    # and its anisotropy integrated on its own; the rest is one pass over the stack.
+    # energy_report's two routes for 100 fields, in one pass over the stack.
     grid = verification_grid(4)
     basis = vsh.vector_basis(grid, 4)
-    drawn = np.stack([random_coeffs(4, rng).data for _ in range(100)])
+    drawn = vsh._random_tables(4, rng, 100)
     fields = basis._synthesize_tables(drawn)
-    analyzed, anisotropy = [], []
-    for values in fields:
-        field = SampledVectorField(grid=grid, values=values)
-        analyzed.append(basis.analyze(field).data)
-        anisotropy.append(spectral.anisotropy_energy_quadrature(field))
-    analyzed = np.stack(analyzed)
+    analyzed = np.zeros_like(drawn)
+    analyzed[:, vsh._valid_mask(4)] = basis._analyze_values(fields)
     route_gaps = spectral._route_gaps(
         (spectral._dirichlet(analyzed), spectral._anisotropy(analyzed)),
         # Cartesian components of a band-4 vector field are scalar band 5.
-        (_scalar_route_dirichlet(grid, fields, 5), np.array(anisotropy)),
+        (_scalar_route_dirichlet(grid, fields, 5), spectral._anisotropy_quadrature(grid, fields)),
         (-8.0, -4.0, 0.0, 6.0),
     )
     checks.append(Check("route-equivalence-band4", _worst([route_gaps]), 1e-8))
@@ -222,10 +212,10 @@ def suite_equality(seed: int) -> list[Check]:
 
 
 def suite_lemma(seed: int) -> list[Check]:
-    # One gamma_numeric sweep and one minimizer per weight; their entries are checked in one pass.
+    # Each sweep solves all its weights in one pass; the 201 minimizers' entries are checked in one pass.
+    kappas = np.linspace(-50.0, 50.0, 201)
     u3_rows, high_rows, degree1, argmin_excesses = [], [], [], []
-    for kappa in map(float, np.linspace(-50.0, 50.0, 201)):
-        _, winners = eigensolver.gamma_numeric(kappa, n_max=30)
+    for kappa, (_, winners) in zip(kappas.tolist(), eigensolver._sweep(kappas, n_max=30)):
         argmin_excesses += [n - 1 for n, _ in winners] + [1 for _, kind in winners if kind == "u3"]
         data = eigensolver._minimizer_from_channels(kappa, winners).data
         band = data.shape[1] - 1
@@ -235,9 +225,10 @@ def suite_lemma(seed: int) -> list[Check]:
     u3_leaks, high_leaks = np.abs(np.concatenate(u3_rows)), np.abs(np.concatenate(high_rows))
     u1, u2 = np.stack(degree1, axis=1)
     sign_defects = (-u1 * u2)[(np.abs(u1) > 1e-12) | (np.abs(u2) > 1e-12)]
+    kappas = np.linspace(-20.0, 20.0, 200)
     gaps = (
-        abs(eigensolver.gamma_numeric(kappa, n_max=20)[0] - sharp.gamma(kappa))
-        for kappa in map(float, np.linspace(-20.0, 20.0, 200))
+        abs(best - sharp.gamma(kappa))
+        for kappa, (best, _) in zip(kappas.tolist(), eigensolver._sweep(kappas, n_max=20))
     )
     return [
         Check("minimizer-u3-channel-zero", _worst([u3_leaks]), 1e-12),

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from sphere_poincare.eigensolver import (
     _smaller_eigenvalue,
+    _sweep,
     block,
     gamma_numeric,
     min_eigenpair,
@@ -198,26 +199,13 @@ def test_gamma_numeric_is_the_per_degree_sweep(n_max):
 
 
 def test_gamma_numeric_reads_the_parts_of_its_own_n_max():
-    # The lemma suite sweeps at n_max 30, then 20; interleaving three sizes
-    # would catch parts kept from another size.  At -1e15 the tie tolerance
-    # admits every block up to degree 31, so the winners name n_max.
-    for kappa in _LEMMA_SWEEP + [-1e15, -4.0, 1e13]:
-        for n_max in (30, 2, 20):
-            value, winners = gamma_numeric(kappa, n_max)
+    # The lemma suite's two sweeps, each solved in one stacked pass, at
+    # three interleaved sizes.  At -1e15 the tie tolerance admits every
+    # block up to degree 31, so the winners name n_max.
+    kappas = _LEMMA_SWEEP + [-1e15, -4.0, 1e13]
+    for n_max in (30, 2, 20):
+        for kappa, (value, winners) in zip(kappas, _sweep(kappas, n_max)):
             expected_value, expected_winners = _per_degree_gamma_numeric(kappa, n_max)
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), (kappa, n_max)
             assert winners == expected_winners, (kappa, n_max)
     assert len(gamma_numeric(-1e15, 2)[1]) == 3
-
-
-def test_gamma_numeric_cached_parts_are_read_only():
-    from sphere_poincare.eigensolver import _channel_parts
-
-    a_free, d, four_b_sq, row = _channel_parts(5)
-    assert d.tolist() == [2.0, 6.0, 12.0, 20.0, 30.0]
-    assert row.tolist() == [0.0, 0.0, 2.0, 0.0, 6.0, 0.0, 12.0, 0.0, 20.0, 0.0, 30.0]
-    for part in (a_free, d, four_b_sq, row):
-        with pytest.raises(ValueError, match="read-only"):
-            part[0] = 1.0
-    gamma_numeric(0.5, 5)
-    assert _channel_parts(5)[3].tolist() == row.tolist()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -130,6 +129,7 @@ def test_energy_report_normal_field():
     assert_allclose(report.norm_sq, FOUR_PI, rtol=0, atol=1e-10)
     assert report.quadrature is not None
     assert report.quadrature.route == "quadrature"
+    assert_allclose(report.quadrature.total, -24.0 * math.pi, rtol=0, atol=1e-9)
     assert report.route_gap < 1e-10
 
 
@@ -218,15 +218,3 @@ def test_stacked_energy_kernels_are_the_per_table_functions(band, count):
     assert _bits(kernels["g_kappa"][1]) == _bits([_reference_g_kappa(d, -3.7) for d in stack])
     assert _bits(kernels["anisotropy"][1]) == _bits([float(np.sum(d[0] * d[0])) for d in stack])
     assert _bits(kernels["norm_sq"][1]) == _bits([float(np.sum(d * d)) for d in stack])
-
-
-def test_energy_reports_are_per_kappa_energy_reports(rng, grid4):
-    kappas = (-8.0, -4.0, 0.0, 6.0)
-    coeffs = random_coeffs(4, rng)
-    for subject, band_limit in ((synthesize(coeffs, grid4), 4), (coeffs, None)):
-        reports = spectral._energy_reports(subject, kappas, band_limit)
-        assert len(reports) == len(kappas)
-        for kappa, report in zip(kappas, reports):
-            expected = energy_report(subject, kappa, band_limit=band_limit)
-            assert repr(dataclasses.asdict(report)) == repr(dataclasses.asdict(expected))
-            assert (report.quadrature is None) == (band_limit is None)

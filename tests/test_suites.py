@@ -1,5 +1,6 @@
 """The verify suites compute each per-weight and per-field quantity once."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -24,10 +25,19 @@ def _counting(monkeypatch, module, name):
 
 
 def test_lemma_sweeps_once_per_weight(monkeypatch):
-    calls = _counting(monkeypatch, eigensolver, "gamma_numeric")
+    rows = Counter()
+    sweep = eigensolver._sweep
+
+    def counting(kappas, n_max):
+        rows.update((kappa, n_max) for kappa in np.asarray(kappas).tolist())
+        return sweep(kappas, n_max)
+
+    monkeypatch.setattr(eigensolver, "_sweep", counting)
     checks = suites.suite_lemma(0)
     assert all(check.passed for check in checks)
-    assert sum(calls.values()) == 201 + 200
+    # 201 weights at n_max 30 for the minimizer structure, 200 at n_max 20 for the constant.
+    assert sum(rows.values()) == 201 + 200
+    assert set(rows.values()) == {1}
 
 
 def test_inequality_evaluates_each_constant_once(monkeypatch):
@@ -39,18 +49,18 @@ def test_inequality_evaluates_each_constant_once(monkeypatch):
 
 
 def test_energy_routes_analyzes_each_field_once(monkeypatch):
-    calls = []
-    analyze = vsh.VectorBasis.analyze
+    fields = []
+    analyze_values = vsh.VectorBasis._analyze_values
 
-    def counting(self, u):
-        calls.append(self.band_limit)
-        return analyze(self, u)
+    def counting(self, values):
+        fields.append(math.prod(values.shape[:-3]))
+        return analyze_values(self, values)
 
-    monkeypatch.setattr(vsh.VectorBasis, "analyze", counting)
+    monkeypatch.setattr(vsh.VectorBasis, "_analyze_values", counting)
     checks = suites.suite_energy_routes(0)
     assert all(check.passed for check in checks)
     # 100 random band-4 fields at four weights each, and the normal field.
-    assert len(calls) == 100 + 1
+    assert sum(fields) == 100 + 1
 
 
 def _recording_draws(monkeypatch):
@@ -74,7 +84,7 @@ def test_fuzz_suites_keep_their_draws_in_blocks_of_100(monkeypatch):
     )
     draws.clear()
     suites.suite_energy_routes(0)
-    assert draws == [(4, 100, (1, 2, 3), None)] * 10 + [(4, 1, (1, 2, 3), None)] * 100
+    assert draws == [(4, 100, (1, 2, 3), None)] * 11
 
 
 def _relative_gap(a, b):

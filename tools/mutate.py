@@ -129,8 +129,8 @@ MUTANTS = (
     Mutant(
         "eigensolver: libm pow squares the discriminant",
         "src/sphere_poincare/eigensolver.py",
-        "np.sqrt((a - d) * (a - d) + four_b_sq)",
-        "np.sqrt((a - d) ** 2 + four_b_sq)",
+        "np.sqrt((a - d) * (a - d) + 4.0 * b * b)",
+        "np.sqrt((a - d) ** 2 + 4.0 * b * b)",
         ("tests/test_eigensolver.py::test_block_eigenvalues_of_all_degrees_are_min_eigenpair",),
     ),
     Mutant(
@@ -157,18 +157,19 @@ MUTANTS = (
          "tests/test_grid.py::test_cli_op_leaves_no_grid_alive"),
     ),
     Mutant(
-        "spectral: one kappa's quadrature for every report",
+        "spectral: one kappa's quadrature total drops the weighted anisotropy",
         "src/sphere_poincare/spectral.py",
-        '_breakdowns(*quadrature, kappas, "quadrature")',
-        '_breakdowns(*quadrature, (kappas[0],) * len(kappas), "quadrature")',
-        ("tests/test_spectral.py::test_energy_reports_are_per_kappa_energy_reports",),
+        "EnergyBreakdown(dq, aq, dq + kappa * aq,",
+        "EnergyBreakdown(dq, aq, dq,",
+        ("tests/test_spectral.py::test_energy_report_normal_field",),
     ),
     Mutant(
         "suites: four energy_report calls per field",
         "src/sphere_poincare/suites.py",
-        "analyzed.append(basis.analyze(field).data)",
-        "analyzed.append([spectral.energy_report(field, k, band_limit=4) for k in (-8.0, -4.0, 0.0, 6.0)]"
-        " and basis.analyze(field).data)",
+        "analyzed[:, vsh._valid_mask(4)] = basis._analyze_values(fields)",
+        "analyzed[:, vsh._valid_mask(4)] = basis._analyze_values(fields)\n"
+        "    [spectral.energy_report(spectral.SampledVectorField(grid=grid, values=v), k, band_limit=4)"
+        " for v in fields for k in (-8.0, -4.0, 0.0, 6.0)]",
         ("tests/test_suites.py::test_energy_routes_analyzes_each_field_once",),
     ),
     # The stacked suites against their per-field reference loop.
@@ -187,10 +188,24 @@ MUTANTS = (
         (_STACKED_SUITES,),
     ),
     Mutant(
-        "eigensolver: the per-n_max cache read at another n_max",
+        "spectral: the stacked anisotropy reads field 0 for every field",
+        "src/sphere_poincare/spectral.py",
+        "radial = _dot3(values, grid.frame[2])",
+        "radial = _dot3(values[(0,) * (values.ndim - 3)], grid.frame[2])",
+        (_STACKED_SUITES,),
+    ),
+    Mutant(
+        "eigensolver: the per-n_max channel degrees read at another n_max",
         "src/sphere_poincare/eigensolver.py",
-        "_channel_parts(n_max)",
-        "_channel_parts(30)",
+        "n = np.arange(1, n_max + 1)",
+        "n = np.arange(31 - n_max, 31)",
+        ("tests/test_eigensolver.py::test_gamma_numeric_reads_the_parts_of_its_own_n_max",),
+    ),
+    Mutant(
+        "eigensolver: the sweep reads weight 0 for every row",
+        "src/sphere_poincare/eigensolver.py",
+        "_block_entries(nstar, kappas[:, None])",
+        "_block_entries(nstar, kappas[:1, None])",
         ("tests/test_eigensolver.py::test_gamma_numeric_reads_the_parts_of_its_own_n_max",),
     ),
     Mutant(
@@ -307,6 +322,13 @@ MUTANTS = (
         "_DENSE_MAX_BAND = 8",
         "_DENSE_MAX_BAND = 0",
         (_BASIS_BYTES + "::test_vector_transforms_bytes_are_the_dense_einsums",),
+    ),
+    Mutant(
+        "cli: the flow's start perturbation scaled by 1 + 1e-6",
+        "src/sphere_poincare/cli.py",
+        "normal.values + args.perturb * bump.values",
+        "normal.values + args.perturb * (1.0 + 1e-6) * bump.values",
+        ("tests/test_flow_reference.py::test_band8_flow_matches_the_committed_reference",),
     ),
     Mutant(
         "suites: 900 instead of 1000 g-kappa draws",
