@@ -2,8 +2,7 @@
 construction and gradient-flow runs.
 
 All outputs are CSV-first (plot-ready); reports can be emitted as JSON
-with --json.  Identical command and seed give byte-identical files.
-The environment variable SPHERE_POINCARE_SEED overrides --seed.
+with --json.  Identical command and seed give byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -34,7 +32,7 @@ from .sharp import (
     membership_check,
 )
 from .spectral import _worst, norm_sq
-from .suites import SUITES, Check, _bool_check, run_suite
+from .suites import _MEMBERSHIP_TOL, SUITES, Check, _bool_check, run_suite
 from .vsh import CoeffSet, synthesize
 
 
@@ -90,14 +88,6 @@ class RunReport:
         )
 
 
-def _resolve_seed(seed: int) -> int:
-    env = os.environ.get("SPHERE_POINCARE_SEED")
-    try:
-        return seed if env is None else int(env)
-    except ValueError:
-        raise ValueError(f"SPHERE_POINCARE_SEED must be an integer, got {env!r}") from None
-
-
 def _report(args, start: float, command: str, parameters: dict, checks: list[Check], out_path=None) -> int:
     """Print a run's report (and write it to ``out_path``); exit code 0 if it passed, else 1."""
     report = RunReport(command, parameters, checks, wall_time_s=time.perf_counter() - start)
@@ -133,7 +123,7 @@ def cmd_gamma(args) -> int:
         if not (steps.is_integer() and 1 <= steps <= _MAX_RANGE_STEPS):
             raise ValueError(f"--range STEPS must be an integer from 1 to {_MAX_RANGE_STEPS}")
         if hi < lo:
-            raise ValueError("bad range")
+            raise ValueError("--range A B STEPS needs A <= B")
         kappas = np.linspace(lo, hi, int(steps))
     # Rendered before --out is opened, so a bad weight leaves no file behind.
     lines = _gamma_table_lines(kappas)
@@ -145,10 +135,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
     start = time.perf_counter()
-    checks = run_suite(args.suite, seed)
-    parameters = {"suite": args.suite, "seed": seed}
+    checks = run_suite(args.suite, args.seed)
+    parameters = {"suite": args.suite, "seed": args.seed}
     return _report(args, start, f"verify --suite {args.suite}", parameters, checks, args.out)
 
 
@@ -161,13 +150,12 @@ def cmd_minimize(args) -> int:
     _, closed = build_minimizer(kappa, sign=args.sign, direction=args.direction, c0=args.c0)
     numeric = numeric_minimizer(kappa)
     chosen = closed if args.method == "closed" else numeric
-    tol = args.tol
-    # Checked before any file is written, so a bad tolerance leaves none behind.
+    # Checked before any file is written, so a check that raises leaves none behind.
     checks = [
         Check("closed-equality-residual", abs(equality_residual(closed, kappa)), 1e-10),
         Check("closed-norm-4pi", abs(norm_sq(closed) - FOUR_PI), 1e-10),
-        _bool_check("closed-membership", membership_check(closed, kappa, tol)),
-        _bool_check("numeric-membership", membership_check(numeric, kappa, tol)),
+        _bool_check("closed-membership", membership_check(closed, kappa, _MEMBERSHIP_TOL)),
+        _bool_check("numeric-membership", membership_check(numeric, kappa, _MEMBERSHIP_TOL)),
     ]
 
     grid = _grid(args.grid)
@@ -181,7 +169,7 @@ def cmd_minimize(args) -> int:
         "regime": classify_regime(kappa).value,
         "gamma": gamma(kappa),
         "method": args.method,
-        "membership_tol": tol,
+        "membership_tol": _MEMBERSHIP_TOL,
         "coeffs_csv": coeff_path,
         "field_csv": field_path,
     }
@@ -299,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--sign", type=float, default=None, help="below the boundary only (default +1)")
     p_min.add_argument("--c0", type=float, default=None)
     p_min.add_argument("--grid", nargs=2, type=int, default=(16, 33), metavar=("NT", "NPHI"))
-    p_min.add_argument("--tol", type=float, default=1e-8, help="membership tolerance")
     p_min.add_argument("--out", required=True, help="output file prefix")
     p_min.add_argument("--json", action="store_true")
     p_min.set_defaults(func=cmd_minimize)

@@ -124,27 +124,49 @@ def normalized_legendre_dt(n: int, j: int, t):
     return assoc_legendre_dt(n, j, t) * _norm_factor(n, j)
 
 
-def _sh_rows(n: int, j: int, phi, table, dt_table=None) -> tuple:
-    """Y_{n,j} from the Legendre table, and with ``dt_table`` (dY/dphi, dY/dt):
-    cosine branch for j < 0, sine for j > 0, X_{n,0} in the shape of t for j = 0."""
-    norm = _norm_factor(n, abs(j))
-    x = table[n, abs(j)] * norm
-    dx = None if dt_table is None else dt_table[n, abs(j)] * norm
-    if j == 0:
-        return x, 0.0, dx
-    value, slope = (np.cos, np.sin) if j < 0 else (np.sin, np.cos)
-    angle = j * phi
-    rows = (_SQRT2 * x * value(angle),)
+def _write_order(out, lo, hi, m: int, phi, x, dx=None) -> None:
+    """Write Y_{n,-m} at rows ``lo`` and Y_{n,m} at rows ``hi`` of ``out[0]``
+    from X_{n,m} values ``x``, and with ``dx`` (dX_{n,m}/dt values) their
+    dY/dphi and dY/dt rows in ``out[1]`` and ``out[2]``; for m = 0 only the
+    rows ``hi`` of X_{n,0}.  ``x`` and ``dx`` are scaled in place.
+
+    Cosine branch for j < 0, sine for j > 0: cos(-m phi) and sin(-m phi)
+    are cos(m phi) and -sin(m phi) bit for bit, so one cos(m phi) and one
+    sin(m phi) serve both orders.  Each product goes into ``out`` as it is
+    formed, so no temporary is larger than one order's rows.
+    """
+    if m == 0:
+        out[0][hi] = x
+        if dx is not None:
+            out[1][hi] = 0.0
+            out[2][hi] = dx
+        return
+    cos, sin = np.cos(m * phi), np.sin(m * phi)
+    x *= _SQRT2
+    out[0][lo] = x * cos
+    out[0][hi] = x * sin
     if dx is not None:
-        rows += (_SQRT2 * x * abs(j) * slope(angle), _SQRT2 * dx * value(angle))
-    return rows
+        x *= m
+        out[1][lo] = x * -sin
+        out[1][hi] = x * cos
+        dx *= _SQRT2
+        out[2][lo] = dx * cos
+        out[2][hi] = dx * sin
 
 
 def _sh_mode(n: int, j: int, phi, t, grad: bool = False) -> tuple:
-    """``_sh_rows`` of one (n, j) at (phi, t), from a table up to degree n."""
+    """The rows of Y_{n,j} that ``scalar_sh_table`` writes, at (phi, t) from a
+    table up to degree n: (Y,), and with ``grad`` (Y, dY/dphi, dY/dt).  The
+    rows of j = 0 have the shape of t, the others the broadcast shape."""
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
-    return _sh_rows(n, j, np.asarray(phi, dtype=float), *_legendre_tables(n, t, grad))
+    m, phi = abs(j), np.asarray(phi, dtype=float)
+    norm = _norm_factor(n, m)
+    shape = np.broadcast(phi if m else 0.0, t).shape
+    out = tuple(np.empty((2,) + shape) for _ in range(1 + 2 * grad))
+    tables = _legendre_tables(n, t, grad)[: 1 + grad]
+    _write_order(out, 0, 1, m, phi, *(tab[n, m] * norm for tab in tables))
+    return tuple(rows[int(j >= 0)] for rows in out)
 
 
 def scalar_sh(n: int, j: int, phi, t):
@@ -171,11 +193,8 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
     ``grad`` (|t| < 1 only) returns (Y, dY/dphi, dY/dt), stacked alike.
     Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for j = 0.
 
-    One pass per order m writes the rows (n, -m) and (n, m) of every
-    degree n >= m from one cos(m phi) and one sin(m phi), with the bits
-    of the per-mode ``_sh_rows``: cos(-m phi) and sin(-m phi) are
-    cos(m phi) and -sin(m phi) bit for bit.  No temporary is larger than
-    one order's rows.
+    One ``_write_order`` pass per order m writes the rows (n, -m) and
+    (n, m) of every degree n >= m, as ``_sh_mode`` does for one mode.
     """
     table, dt_table = _legendre_tables(band_limit, t, grad)
     phi = np.asarray(phi, dtype=float)
@@ -188,22 +207,5 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
         n = np.arange(m, band_limit + 1)
         centre = n * (n + 1)  # the row of Y_{n,0}
         norms = np.array([_norm_factor(d, m) for d in n.tolist()]).reshape((-1,) + (1,) * len(shape))
-        x, *dx = (tab[m:, m] * norms for tab in tables)
-        if m == 0:
-            out[0][centre] = x
-            if grad:
-                out[1][centre] = 0.0
-                out[2][centre] = dx[0]
-            continue
-        cos, sin = np.cos(m * phi), np.sin(m * phi)
-        x *= _SQRT2
-        out[0][centre - m] = x * cos
-        out[0][centre + m] = x * sin
-        if grad:
-            x *= m
-            out[1][centre - m] = x * -sin
-            out[1][centre + m] = x * cos
-            dx = _SQRT2 * dx[0]
-            out[2][centre - m] = dx * cos
-            out[2][centre + m] = dx * sin
+        _write_order(out, centre - m, centre + m, m, phi, *(tab[m:, m] * norms for tab in tables))
     return out if grad else out[0]

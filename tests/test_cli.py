@@ -34,8 +34,9 @@ def test_gamma_requires_argument(capsys):
     assert main(["gamma"]) == 2
 
 
-def test_gamma_rejects_bad_range(tmp_path):
+def test_gamma_rejects_bad_range(tmp_path, capsys):
     assert main(["gamma", "--range", "5", "-5", "11"]) == 2
+    assert capsys.readouterr().err == "error: --range A B STEPS needs A <= B\n"
 
 
 def test_gamma_deterministic_output(tmp_path):
@@ -82,12 +83,16 @@ def test_verify_lemma_json_report(capsys):
     assert all(type(c["passed"]) is bool for c in payload["checks"])
 
 
-def test_verify_seed_env_override(capsys, monkeypatch, tmp_path):
+def test_verify_reads_no_seed_from_the_environment(capsys, monkeypatch):
+    argv = ["verify", "--suite", "inequality", "--seed", "3", "--json"]
+    assert main(argv) == 0
+    unset = json.loads(capsys.readouterr().out)
     monkeypatch.setenv("SPHERE_POINCARE_SEED", "99")
-    path = tmp_path / "report.json"
-    main(["verify", "--suite", "equality", "--seed", "3", "--json", "--out", str(path)])
-    payload = json.loads(path.read_text())
-    assert payload["parameters"]["seed"] == 99
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["parameters"]["seed"] == 3
+    del unset["wall_time_s"], payload["wall_time_s"]
+    assert payload == unset
 
 
 def test_minimize_below_regime_field_is_normal(tmp_path, capsys):
@@ -187,66 +192,67 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, seed_env",
+    "argv",
     [
-        (["gamma", "--kappa", "nan"], None),
-        (["minimize", "--kappa", "inf", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa", "6", "--grid", "1", "1", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa", "6", "--c0", "1.5", "--out", "{tmp}/m"], None),
-        (["verify", "--suite", "equality"], "abc"),
-        (["flow", "--kappa", "1", "--dt", "0", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--dt=-0.01", "--out", "{tmp}/t.csv"], None),
-        (["gamma", "--kappa", "nan", "--out", "{tmp}/g.csv"], None),
-        (["minimize", "--kappa", "6", "--out", "{tmp}/missing/m"], None),
-        (["verify", "--suite", "equality", "--out", "{tmp}/missing/r.json"], None),
-        (["flow", "--kappa", "nan", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--perturb", "inf", "--out", "{tmp}/t.csv"], None),
-        (["minimize", "--kappa", "-8", "--sign", "nan", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa", "6", "--tol", "nan", "--out", "{tmp}/m"], None),
-        (["gamma", "--range", "0", "inf", "3"], None),
-        (["gamma", "--range", "0", "1", "1000001"], None),
-        (["gamma", "--range", "0", "1", "2.5"], None),
-        (["minimize", "--kappa", "1", "--grid", "131", "16", "--out", "{tmp}/m"], None),
-        (["flow", "--kappa", "1", "--steps", "1", "--grid", "10", "260", "--out", "{tmp}/t.csv"], None),
+        ["gamma", "--kappa", "nan"],
+        ["minimize", "--kappa", "inf", "--out", "{tmp}/m"],
+        ["minimize", "--kappa", "6", "--grid", "1", "1", "--out", "{tmp}/m"],
+        ["minimize", "--kappa", "6", "--c0", "1.5", "--out", "{tmp}/m"],
+        ["flow", "--kappa", "1", "--dt", "0", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--dt=-0.01", "--out", "{tmp}/t.csv"],
+        ["gamma", "--kappa", "nan", "--out", "{tmp}/g.csv"],
+        ["minimize", "--kappa", "6", "--out", "{tmp}/missing/m"],
+        ["verify", "--suite", "equality", "--out", "{tmp}/missing/r.json"],
+        ["flow", "--kappa", "nan", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--perturb", "inf", "--out", "{tmp}/t.csv"],
+        ["minimize", "--kappa", "-8", "--sign", "nan", "--out", "{tmp}/m"],
+        ["gamma", "--range", "0", "inf", "3"],
+        ["gamma", "--range", "0", "1", "1000001"],
+        ["gamma", "--range", "0", "1", "2.5"],
+        ["minimize", "--kappa", "1", "--grid", "131", "16", "--out", "{tmp}/m"],
+        ["flow", "--kappa", "1", "--steps", "1", "--grid", "10", "260", "--out", "{tmp}/t.csv"],
         # Huge weights: gamma - 2 or |sigma|^2 cancels to zero, or kappa^2 overflows.
-        (["minimize", "--kappa", "1e10", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=3.2668450216178864e+16", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa", "1e154", "--out", "{tmp}/m"], None),
-        (["gamma", "--kappa", "1e300", "--out", "{tmp}/g.csv"], None),
-        (["gamma", "--kappa=-1e300"], None),
-        # A negative membership tolerance, and options the regime does not use.
-        (["minimize", "--kappa", "1", "--tol=-1", "--out", "{tmp}/r"], None),
-        (["minimize", "--kappa=-8", "--direction", "1", "0", "0", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=-8", "--c0", "0.3", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa", "1", "--sign=-1", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=-4", "--sign", "1", "--out", "{tmp}/m"], None),
+        ["minimize", "--kappa", "1e10", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=3.2668450216178864e+16", "--out", "{tmp}/m"],
+        ["minimize", "--kappa", "1e154", "--out", "{tmp}/m"],
+        ["gamma", "--kappa", "1e300", "--out", "{tmp}/g.csv"],
+        ["gamma", "--kappa=-1e300"],
+        # Options the regime does not use.
+        ["minimize", "--kappa=-8", "--direction", "1", "0", "0", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=-8", "--c0", "0.3", "--out", "{tmp}/m"],
+        ["minimize", "--kappa", "1", "--sign=-1", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=-4", "--sign", "1", "--out", "{tmp}/m"],
         # A perturbation whose squared length, or the perturbation itself, overflows.
-        (["flow", "--kappa", "1", "--perturb", "1e300", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--perturb", "1.7e308", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--perturb", "1e200", "--steps", "3", "--out", "{tmp}/t.csv"], None),
+        ["flow", "--kappa", "1", "--perturb", "1e300", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--perturb", "1.7e308", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--perturb", "1e200", "--steps", "3", "--out", "{tmp}/t.csv"],
         # A weight whose force, or the iterate it moves, overflows within the flow.
-        (["flow", "--kappa", "1e300", "--steps", "2", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa=-1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
+        ["flow", "--kappa", "1e300", "--steps", "2", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa=-1e300", "--steps", "1", "--out", "{tmp}/t.csv"],
         # More than 1,000,000 trajectory rows.
-        (["flow", "--kappa", "1", "--steps", "1000000000", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--steps", "1000000", "--out", "{tmp}/t.csv"], None),
-        (["flow", "--kappa", "1", "--steps", "9999991", "--record-every", "10", "--out", "{tmp}/t.csv"], None),
+        ["flow", "--kappa", "1", "--steps", "1000000000", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--steps", "1000000", "--out", "{tmp}/t.csv"],
+        ["flow", "--kappa", "1", "--steps", "9999991", "--record-every", "10", "--out", "{tmp}/t.csv"],
         # The eigensolver fixes the numeric member: no family option applies to it.
-        (["minimize", "--kappa", "6", "--method", "numeric", "--direction", "1", "0", "0", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=-4", "--method", "numeric", "--c0", "1.5", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=-8", "--method", "numeric", "--sign=-1", "--out", "{tmp}/m"], None),
+        ["minimize", "--kappa", "6", "--method", "numeric", "--direction", "1", "0", "0", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=-4", "--method", "numeric", "--c0", "1.5", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=-8", "--method", "numeric", "--sign=-1", "--out", "{tmp}/m"],
         # Both table inputs at once.
-        (["gamma", "--kappa", "1", "--range", "0", "1", "3"], None),
-        (["gamma", "--kappa", "1", "--range", "0", "1", "3", "--out", "{tmp}/g.csv"], None),
+        ["gamma", "--kappa", "1", "--range", "0", "1", "3"],
+        ["gamma", "--kappa", "1", "--range", "0", "1", "3", "--out", "{tmp}/g.csv"],
         # A step whose sample lengths overflow, and a weight whose numeric route overflows.
-        (["flow", "--kappa", "1e300", "--steps", "1", "--out", "{tmp}/t.csv"], None),
-        (["minimize", "--kappa=-1e300", "--out", "{tmp}/m"], None),
-        (["minimize", "--kappa=-1e300", "--method", "numeric", "--out", "{tmp}/m"], None),
+        ["flow", "--kappa", "1e300", "--steps", "1", "--out", "{tmp}/t.csv"],
+        ["minimize", "--kappa=-1e300", "--out", "{tmp}/m"],
+        ["minimize", "--kappa=-1e300", "--method", "numeric", "--out", "{tmp}/m"],
+        # A descending table.
+        ["gamma", "--range", "1", "0", "3"],
     ],
+    # Each row keeps the id it had while this test also took an environment
+    # seed, so no row changes its name; ids 4, 13 and 24 were the rows of
+    # that seed and of the removed minimize --tol.
+    ids=[f"argv{i}-None" for i in range(46) if i not in (4, 13, 24)],
 )
-def test_bad_input_gives_one_line_error(argv, seed_env, tmp_path, capsys, monkeypatch):
-    if seed_env is not None:
-        monkeypatch.setenv("SPHERE_POINCARE_SEED", seed_env)
+def test_bad_input_gives_one_line_error(argv, tmp_path, capsys):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -261,7 +267,7 @@ def test_floating_point_error_names_the_command_and_its_float_options(method, tm
     assert main(["minimize", "--kappa=-1e300", "--method", method, "--out", str(tmp_path / "m")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and list(tmp_path.iterdir()) == []
-    assert captured.err == "error: minimize --kappa=-1e+300 --tol=1e-08: overflow encountered in multiply\n"
+    assert captured.err == "error: minimize --kappa=-1e+300: overflow encountered in multiply\n"
 
 
 @pytest.mark.parametrize(
@@ -273,6 +279,10 @@ def test_floating_point_error_names_the_command_and_its_float_options(method, tm
         ["minimize", "--kappa", "1", "--grid", "16", "--out", "{tmp}/m"],
         ["gamma", "--kappa", "1", "--out", "{tmp}/g.csv", "x\ny"],
         [],
+        # minimize checks membership at its pinned 1e-8 and takes no tolerance.
+        ["minimize", "--kappa", "6", "--tol", "nan", "--out", "{tmp}/m"],
+        ["minimize", "--kappa", "1", "--tol=-1", "--out", "{tmp}/r"],
+        ["minimize", "--kappa", "6", "--tol", "1e-6", "--out", "{tmp}/m"],
     ],
 )
 def test_parse_error_gives_one_line_error(argv, tmp_path, capsys):

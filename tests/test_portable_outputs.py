@@ -24,8 +24,7 @@ def _by_label(lines):
     return {label: digest for digest, label in (line.split("  ", 1) for line in lines)}
 
 
-def test_portable_outputs_match_the_committed_listing(tmp_path, monkeypatch):
-    monkeypatch.delenv("SPHERE_POINCARE_SEED", raising=False)
+def test_portable_outputs_match_the_committed_listing(tmp_path):
     with open(LISTING, encoding="utf-8") as fh:
         header, *lines = fh.read().splitlines()
     expected = _by_label(lines)

@@ -19,7 +19,7 @@ from sphere_poincare.grid import (
     tangent_frame,
     verification_grid,
 )
-from sphere_poincare.legendre import _legendre_tables, _sh_rows
+from sphere_poincare.legendre import _sh_mode
 from sphere_poincare.vsh import (
     CoeffSet,
     ModeIndex,
@@ -133,11 +133,10 @@ def _per_mode_matrix(grid, band_limit):
     modes = mode_list(band_limit)
     matrix = np.empty((len(modes), grid.n_t, grid.n_phi, 3))
     index = {(mode.family, mode.n, mode.j): k for k, mode in enumerate(modes)}
-    tables = _legendre_tables(band_limit, grid.t[:, None], grad=True)
     # One scalar harmonic's rows serve the (up to three) family rows of its (n, j).
     for n in range(band_limit + 1):
         for j in range(-n, n + 1):
-            rows = _sh_rows(n, j, grid.phi[None, :], *tables)
+            rows = _sh_mode(n, j, grid.phi[None, :], grid.t[:, None], grad=True)
             for family in (1, 2, 3) if n else (1,):
                 mode = ModeIndex(family, n, j)
                 matrix[index[family, n, j]] = _per_mode_field(mode, grid.frame, *rows)

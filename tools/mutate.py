@@ -509,7 +509,7 @@ MUTANTS = (
         "src/sphere_poincare/sharp.py",
         "if not tol >= 0.0:",
         "if False:",
-        (_BAD_INPUT,),
+        ("tests/test_sharp.py::test_membership_check_rejects_a_negative_tolerance",),
     ),
     # One worst-violation reducer, and the inputs it now rejects.
     Mutant(
@@ -713,6 +713,28 @@ MUTANTS = (
         (_BAD_INPUT,),
     ),
     Mutant(
+        "cli: gamma --range accepts B < A",
+        "src/sphere_poincare/cli.py",
+        "if hi < lo:",
+        "if False:",
+        (_BAD_INPUT,),
+    ),
+    # The CLI reads only its argv, and minimize checks membership at the pinned 1e-8.
+    Mutant(
+        "cli: verify reads its seed from the environment",
+        "src/sphere_poincare/cli.py",
+        "def cmd_verify(args) -> int:\n",
+        'def cmd_verify(args) -> int:\n    args.seed = int(__import__("os").environ.get("SPHERE_POINCARE_SEED", args.seed))\n',
+        ("tests/test_cli.py::test_verify_reads_no_seed_from_the_environment",),
+    ),
+    Mutant(
+        "cli: minimize membership tolerance tenfold",
+        "src/sphere_poincare/cli.py",
+        "from .suites import _MEMBERSHIP_TOL, SUITES, Check, _bool_check, run_suite",
+        "from .suites import SUITES, Check, _bool_check, run_suite\n\n_MEMBERSHIP_TOL = 1e-7",
+        ("tests/test_portable_outputs.py::test_portable_outputs_match_the_committed_listing",),
+    ),
+    Mutant(
         "cli: minimize --method numeric takes the family options",
         "src/sphere_poincare/cli.py",
         'if args.method == "numeric" and (args.sign, args.direction, args.c0) != (None, None, None):',
@@ -796,7 +818,6 @@ def _copy_tree(dest: str) -> None:
 def _pytest(root: str, tests) -> int:
     """pytest's exit code for ``tests`` run against the tree at ``root``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
-    env.pop("SPHERE_POINCARE_SEED", None)
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     return subprocess.run(
         command, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL

@@ -140,7 +140,6 @@ def main(argv=None) -> int:
     if args not in ([], ["--portable"]):
         raise SystemExit("usage: python3 tools/output_digest.py [--portable]")
     only_portable = args == ["--portable"]
-    os.environ.pop("SPHERE_POINCARE_SEED", None)
     with tempfile.TemporaryDirectory() as workdir:
         lines = listing(workdir, portable) if only_portable else listing(workdir)
     if only_portable:
