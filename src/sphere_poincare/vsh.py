@@ -32,6 +32,7 @@ from .grid import (
     _row_degrees,
     _same_grid,
     _write_text,
+    scalar_basis,
     tangent_frame,
 )
 from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
@@ -285,12 +286,11 @@ class VectorBasis:
     """All vector harmonics up to a band limit evaluated on one grid.
 
     Up to band ``_DENSE_MAX_BAND`` the transforms contract ``matrix``, the
-    (modes, n_t, n_phi, 3) node values of every mode.  Above it they
-    contract the frame components with three (n, j)-ordered scalar tables
-    of shape ((N+1)^2, nodes): Y, A = (dY/dphi) / s / sqrt(n(n+1)) and
-    B = s (dY/dt) / sqrt(n(n+1)), s = sqrt(1 - t^2), so that
-    y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  There ``matrix`` is
-    built only when read, as a dense oracle.
+    (modes, n_t, n_phi, 3) node values of every mode.  Above it family 1 is
+    the grid's ``scalar_basis`` transform of u.n, and families 2 and 3 pair
+    u.e_phi and u.e_t with two (n, j)-ordered ((N+1)^2, nodes) tables,
+    A = (dY/dphi) / s / sqrt(n(n+1)) and B = s (dY/dt) / sqrt(n(n+1)) with s = sqrt(1 - t^2),
+    so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  ``matrix`` is built only when read.
 
     The dense einsums also run on stacks of tables or samples (the private
     ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
@@ -309,16 +309,15 @@ class VectorBasis:
         if band_limit <= _DENSE_MAX_BAND:
             self.matrix  # built now: the transforms contract it
             return
-        y, a, b = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
+        _, a, b = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
         s = np.sqrt(1.0 - grid.t * grid.t)[:, None]
         n = _row_degrees(band_limit)
-        scale = np.zeros(n.size)  # rows of A and B at n = 0 are zero
-        scale[1:] = 1.0 / np.sqrt(n[1:] * (n[1:] + 1.0))
+        scale = np.divide(1.0, np.sqrt(n * (n + 1.0)), out=np.zeros(n.size), where=n > 0)  # zero rows at n = 0
         a /= s
         a *= scale[:, None, None]
         b *= s
         b *= scale[:, None, None]
-        self._y, self._a, self._b = (table.reshape(len(table), -1) for table in (y, a, b))
+        self._a, self._b = (table.reshape(len(table), -1) for table in (a, b))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -345,7 +344,8 @@ class VectorBasis:
             return SampledVectorField(grid=grid, values=self._synthesize_tables(coeffs.data))
         # (3, (N+1)^2) in (n, j) order; families 2 and 3 hold zero at n = 0.
         c = coeffs.data[:, _valid_mask(self.band_limit)[0]]
-        u_n, a_c, b_c = self._y.T @ c[0], self._a.T @ c[1:].T, self._b.T @ c[1:].T
+        u_n = scalar_basis(grid, self.band_limit).synthesize(c[0])
+        a_c, b_c = self._a.T @ c[1:].T, self._b.T @ c[1:].T
         u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]
         eps_phi, eps_t, normal = grid.frame
         shape = (grid.n_t, grid.n_phi, 1)
@@ -361,7 +361,7 @@ class VectorBasis:
         weighted = u.values * self.grid.weights[..., None]
         eps_phi, eps_t, normal = self.grid.frame
         tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)], axis=1)
-        c1 = self._y @ _dot3(weighted, normal).reshape(-1)
+        c1 = scalar_basis(self.grid, self.band_limit).analyze(_dot3(u.values, normal).reshape(-1))
         a_u, b_u = self._a @ tangential, self._b @ tangential
         c2, c3 = a_u[:, 0] + b_u[:, 1], a_u[:, 1] - b_u[:, 0]
         return CoeffSet.from_vector(self.band_limit, np.concatenate((c1, c2[1:], c3[1:])))

@@ -16,6 +16,7 @@ from sphere_poincare.grid import (
     dirichlet_energy_scalar_route,
     inner_product,
     normal_field,
+    scalar_basis,
     tangent_frame,
     verification_grid,
 )
@@ -301,6 +302,26 @@ def test_dense_table_above_the_crossover_is_built_on_demand_from_the_reference()
     assert "matrix" not in vars(basis)
     assert basis.matrix.tobytes() == reference_basis.vector_matrix(grid, 9).tobytes()
     assert "matrix" in vars(VectorBasis(grid, 8))
+
+
+def test_frame_route_holds_two_node_tables_and_runs_family1_on_the_separable_scalar_basis(rng):
+    grid = verification_grid(20)
+    basis = VectorBasis(grid, 20)
+    coeffs = random_coeffs(20, rng)
+    back = basis.analyze(basis.synthesize(coeffs))
+    assert np.max(np.abs(back.data - coeffs.data)) < 1e-11
+
+    def root(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    # Each distinct array the basis keeps, counted once through its views.
+    held = {id(root(a)): root(a).nbytes for a in vars(basis).values() if isinstance(a, np.ndarray)}
+    assert sum(held.values()) <= 2 * 441 * grid.n_nodes * 8
+    # Family 1 ran on the grid's separable band-20 scalar basis, which built no dense table.
+    assert "matrix" not in vars(scalar_basis(grid, 20))
+    assert "matrix" not in vars(basis)
 
 
 def test_frame_route_roundtrip_band24(rng):

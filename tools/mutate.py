@@ -305,8 +305,22 @@ MUTANTS = (
     Mutant(
         "vsh: tables A and B swapped",
         "src/sphere_poincare/vsh.py",
-        "for table in (y, a, b))",
-        "for table in (y, b, a))",
+        "for table in (a, b))",
+        "for table in (b, a))",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: radial family analyzed from the weighted samples (weights applied twice)",
+        "src/sphere_poincare/vsh.py",
+        "_dot3(u.values, normal)",
+        "_dot3(weighted, normal)",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: radial family synthesized from the family-2 coefficients",
+        "src/sphere_poincare/vsh.py",
+        ".synthesize(c[0])",
+        ".synthesize(c[1])",
         (_FRAME_ROUTE,),
     ),
     Mutant(
