@@ -11,7 +11,8 @@ to the scalar kappa + 2 on u1 alone.  Minimizing the constrained energy
 therefore reduces to a sweep of closed-form 2x2 eigensolves, which keeps
 this module independent of any linear-algebra library and exact to
 machine precision -- it is the brute-force oracle for the closed-form
-sharp constant.
+sharp constant.  Its minimizer takes one of the block lemma's two shapes,
+the degree-0 scalar or the degree-1 (u1, u2) block, or raises ValueError.
 """
 
 from __future__ import annotations
@@ -134,33 +135,27 @@ def numeric_minimizer(
     u2/u1 ratio and the order multiplicity is resolved by ``direction``
     (a 3-vector over j = -1, 0, 1); the default is the deterministic
     j = 0 axis, or a random direction when ``rng`` is given.  Ties
-    prefer the degree-0 channel.
+    prefer the degree-0 channel.  A first argmin channel other than these
+    two (a u3 channel or a block of degree >= 2) raises ValueError.
     """
     return _minimizer_from_channels(kappa, gamma_numeric(kappa, n_max)[1], direction, rng)
 
 
 def _minimizer_from_channels(kappa: float, winners, direction=None, rng=None) -> CoeffSet:
-    """``numeric_minimizer`` from the argmin channels of one ``gamma_numeric`` sweep."""
+    """``numeric_minimizer`` from the argmin channels of one ``gamma_numeric`` sweep;
+    at kappa in about [1.8e16, 3.6e16] the rounded degree-1 eigenvalue lets u3 come first."""
     scale = math.sqrt(FOUR_PI)
-    if (0, "scalar") in winners:
-        out = CoeffSet(1)
+    out = CoeffSet(1)
+    if winners[0] == (0, "scalar"):
         out[(1, 0, 0)] = scale
         return out
-    n, kind = winners[0]
-    if kind == "u3":
-        out = CoeffSet(n)
-        out[(3, n, 0)] = scale
-        return out
-    _, vec = min_eigenpair(block(n, kappa))
-    out = CoeffSet(n)
-    if n == 1:
-        if direction is None and rng is not None:
-            direction = rng.standard_normal(3)
-        d = _unit_direction(direction)
-        for offset, j in enumerate((-1, 0, 1)):
-            out[(1, 1, j)] = scale * vec[0] * d[offset]
-            out[(2, 1, j)] = scale * vec[1] * d[offset]
-        return out
-    out[(1, n, 0)] = scale * vec[0]
-    out[(2, n, 0)] = scale * vec[1]
+    if winners[0] != (1, "block"):
+        raise ValueError(f"the first argmin channel {winners[0]} at kappa={kappa!r} is neither of the lemma's shapes")
+    _, vec = min_eigenpair(block(1, kappa))
+    if direction is None and rng is not None:
+        direction = rng.standard_normal(3)
+    d = _unit_direction(direction)
+    for offset, j in enumerate((-1, 0, 1)):
+        out[(1, 1, j)] = scale * vec[0] * d[offset]
+        out[(2, 1, j)] = scale * vec[1] * d[offset]
     return out

@@ -289,8 +289,8 @@ def gradient_flow(
         raise ValueError("need at least one step")
     if record_every < 1:
         raise ValueError("record_every must be positive")
-    if band_limit < 1:
-        raise ValueError("band limit must resolve at least degree 1")
+    if not 1 <= band_limit <= MAX_DEGREE:
+        raise ValueError(f"band limit must resolve at least degree 1 and at most MAX_DEGREE = {MAX_DEGREE}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if not math.isfinite(kappa):

@@ -77,8 +77,10 @@ def _legendre_dt_table(table: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _legendre_tables(n_max: int, t, grad: bool):
     """The Legendre table up to ``n_max`` at t in [-1, 1], and with ``grad``
-    (t strictly inside) its t-derivative table, else None."""
-    _check_degree_order(n_max, 0)
+    (t strictly inside) its t-derivative table, else None.  ``n_max`` may
+    exceed ``MAX_DEGREE`` by the one degree that the scalar energy route adds."""
+    if not 0 <= n_max <= MAX_DEGREE + 1:
+        raise ValueError(f"degree n={n_max} outside [0, {MAX_DEGREE + 1}]")
     t = np.asarray(t, dtype=float)
     if grad and np.any(np.abs(t) >= 1.0):
         raise ValueError("t must lie strictly inside (-1, 1)")
@@ -160,6 +162,7 @@ def _sh_mode(n: int, j: int, phi, t, grad: bool = False) -> tuple:
     rows of j = 0 have the shape of t, the others the broadcast shape."""
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
+    _check_degree_order(n, 0)
     m, phi = abs(j), np.asarray(phi, dtype=float)
     norm = _norm_factor(n, m)
     shape = np.broadcast(phi if m else 0.0, t).shape
@@ -196,6 +199,7 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
     One ``_write_order`` pass per order m writes the rows (n, -m) and
     (n, m) of every degree n >= m, as ``_sh_mode`` does for one mode.
     """
+    _check_degree_order(band_limit, 0)
     table, dt_table = _legendre_tables(band_limit, t, grad)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast(phi, t).shape

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from sphere_poincare.eigensolver import (
+    _block_entries,
+    _minimizer_from_channels,
     _smaller_eigenvalue,
     _sweep,
     block,
@@ -12,7 +15,7 @@ from sphere_poincare.eigensolver import (
     min_eigenpair,
     numeric_minimizer,
 )
-from sphere_poincare.sharp import equality_residual, gamma, gamma_plus
+from sphere_poincare.sharp import equality_residual, gamma, gamma_plus, membership_check
 from sphere_poincare.spectral import norm_sq
 
 FOUR_PI = 4.0 * math.pi
@@ -209,3 +212,34 @@ def test_gamma_numeric_reads_the_parts_of_its_own_n_max():
             assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), (kappa, n_max)
             assert winners == expected_winners, (kappa, n_max)
     assert len(gamma_numeric(-1e15, 2)[1]) == 3
+
+
+def test_block_eigenvalue_never_decreases_with_the_degree():
+    # d lambda / d n* = 1 - 4 / sqrt((kappa + 2)^2 + 16 n*) >= 0 for n* >= 1, and it
+    # holds in floating point too: so the sweep's argmin over n <= n_max, and the
+    # minimizer's two shapes, speak for every degree.
+    magnitudes = np.logspace(-12.0, 150.0, 4001)
+    kappas = np.concatenate([_LEMMA_SWEEP, magnitudes, -magnitudes])
+    nstar = np.arange(1, 31) * np.arange(2, 32.0)
+    values = _smaller_eigenvalue(*_block_entries(nstar, kappas[:, None]))
+    assert np.all(np.isfinite(values))
+    assert np.all(np.diff(values, axis=1) >= 0.0)
+
+
+@pytest.mark.parametrize("winner", [(1, "u3"), (2, "block"), (2, "u3")])
+def test_minimizer_builds_only_the_lemma_shapes(winner):
+    message = rf"first argmin channel {re.escape(repr(winner))} at kappa=6.0 is neither of the lemma's shapes"
+    with pytest.raises(ValueError, match=message):
+        _minimizer_from_channels(6.0, (winner,))
+
+
+def test_numeric_minimizer_where_rounding_puts_u3_first_raises_or_is_a_member():
+    # From about 1.8e16 to 3.6e16 the cancelling smaller eigenvalue rounds the
+    # degree-1 block's to 4.0, above the u3 channel's 2, so u3 comes first.
+    kappa = 2.5e16
+    try:
+        coeffs = numeric_minimizer(kappa)
+    except ValueError as exc:
+        assert "neither of the lemma's shapes" in str(exc)
+    else:
+        assert membership_check(coeffs, kappa, 1e-8)

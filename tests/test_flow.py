@@ -248,6 +248,13 @@ def test_flow_rejects_a_count_below_one(count, message):
         gradient_flow(u0, **{"kappa": 0.0, "dt": 0.01, "steps": 10, "band_limit": 4, **count})
 
 
+def test_flow_keeps_the_max_degree_cap():
+    # verification_grid(64) resolves band 65, and the scalar basis reaches it.
+    u0 = normal_field(verification_grid(64))
+    with pytest.raises(ValueError, match="band limit must resolve .* at most MAX_DEGREE = 64"):
+        gradient_flow(u0, kappa=0.0, dt=1e-5, steps=1, band_limit=65)
+
+
 @pytest.mark.parametrize("kappa, values", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
 def test_flow_rejects_non_finite_input(kappa, values):
     grid = verification_grid(4)
@@ -274,6 +281,16 @@ def test_flow_aborts_on_a_rising_or_non_finite_energy(kappa, message):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="^" + message):
             gradient_flow(u0, kappa=kappa, dt=0.02, steps=2, band_limit=4)
+
+
+def test_flow_aborts_at_the_step_whose_energy_overflows():
+    # A tiny step at a huge weight turns a nearly tangential start towards the normal:
+    # its lengths stay finite, but kappa times its radial part overflows.
+    grid = build_grid(10, 19)
+    tilted = SampledVectorField(grid=grid, values=_tangential_bump(grid).values + 0.1 * normal_field(grid).values)
+    u0 = normalize_field(tilted)
+    with pytest.raises(RuntimeError, match=r"^energy is inf at step 1; the iterate is no longer finite$"):
+        gradient_flow(u0, kappa=1e308, dt=1e-200, steps=2, band_limit=4)
 
 
 def test_flow_aborts_at_the_step_whose_sample_lengths_overflow():

@@ -24,7 +24,7 @@ from sphere_poincare.grid import (
     tangent_frame,
     verification_grid,
 )
-from sphere_poincare.legendre import scalar_sh
+from sphere_poincare.legendre import MAX_DEGREE, scalar_sh
 
 FOUR_PI = 4.0 * math.pi
 
@@ -115,6 +115,15 @@ def test_grid_mismatch_rejected():
     v = SampledVectorField(grid=g2, values=np.zeros((5, 9, 3)))
     with pytest.raises(ValueError):
         inner_product(u, v)
+
+
+def test_distinct_grids_pair_only_when_their_nodes_are_equal():
+    # Equal t nodes, so the comparison reaches phi.
+    grid, twin, wider = build_grid(6, 13), build_grid(6, 13), build_grid(6, 15)
+    assert grid is not twin
+    assert_allclose(inner_product(normal_field(grid), normal_field(twin)), FOUR_PI, rtol=1e-14)
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        inner_product(normal_field(grid), normal_field(wider))
 
 
 def test_field_shape_validation():
@@ -288,6 +297,27 @@ def test_scalar_analyze_flags_underresolved():
     f = SampledScalarField(grid=grid, values=np.zeros((3, 5)))
     with pytest.raises(ValueError):
         scalar_analyze(f, 4)
+
+
+def test_scalar_basis_rejects_a_negative_band():
+    with pytest.raises(ValueError, match="band limit must be non-negative"):
+        scalar_basis(verification_grid(2), -1)
+
+
+def test_scalar_route_runs_one_degree_above_max_degree():
+    # energy_report's scalar route analyzes a band-MAX_DEGREE field at MAX_DEGREE + 1,
+    # which verification_grid(MAX_DEGREE) resolves.
+    grid = verification_grid(MAX_DEGREE)
+    basis = scalar_basis(grid, MAX_DEGREE + 1)
+    coeffs = np.random.default_rng(MAX_DEGREE + 1).standard_normal((len(basis.degrees), 3))
+    assert np.max(np.abs(basis.analyze(basis.synthesize(coeffs)) - coeffs)) < 1e-11
+    energy = dirichlet_energy_scalar_route(normal_field(grid), MAX_DEGREE + 1)
+    assert_allclose(energy, 8.0 * math.pi, rtol=0, atol=1e-12)
+
+
+def test_scalar_basis_stops_one_degree_above_max_degree():
+    with pytest.raises(ValueError, match=r"degree n=66 outside \[0, 65\]"):
+        scalar_basis(build_grid(67, 133), MAX_DEGREE + 2)
 
 
 def test_scalar_roundtrip_band_limited(rng):

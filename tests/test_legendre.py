@@ -20,6 +20,7 @@ from sphere_poincare.legendre import (
     normalized_legendre,
     scalar_sh,
     scalar_sh_grad_components,
+    scalar_sh_table,
 )
 
 FOUR_PI = 4.0 * math.pi
@@ -235,3 +236,15 @@ def test_single_mode_evaluators_skip_the_full_table(monkeypatch):
         scalar_sh(6, j, phi_mesh, t_mesh)
         scalar_sh_grad_components(6, j, phi_mesh, t_mesh)
         eval_vsh(ModeIndex(2, 6, j), phi_mesh, t_mesh)
+
+
+def test_scalar_sh_rejects_an_order_above_its_degree():
+    with pytest.raises(ValueError, match=r"order j=-3 outside \[-n, n\] for n=2"):
+        scalar_sh(2, -3, 0.0, 0.0)
+
+
+def test_the_point_evaluators_and_the_table_keep_the_max_degree_cap():
+    # The internal Legendre tables reach one degree further, for the scalar energy route.
+    for call in (lambda: scalar_sh(65, 0, 0.0, 0.0), lambda: scalar_sh_table(65, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=r"degree n=65 outside \[0, 64\]"):
+            call()

@@ -1,4 +1,7 @@
-"""The Legendre table and the real harmonics against scipy, up to MAX_DEGREE.
+"""The Legendre table and the real harmonics against scipy.
+
+The tables reach MAX_DEGREE + 1, the degree that the scalar energy route
+adds to a band-MAX_DEGREE field; the harmonics stop at MAX_DEGREE.
 
 scipy is a test-only oracle: ``sph_legendre_p(n, m, theta)`` is the
 orthonormalized X_{n,m}(cos theta) with the Condon-Shortley phase, and
@@ -18,7 +21,7 @@ from sphere_poincare.legendre import MAX_DEGREE, _legendre_tables, _norm_factor,
 
 special = pytest.importorskip("scipy.special")
 
-_DEGREES = np.arange(MAX_DEGREE + 1)
+_DEGREES = np.arange(MAX_DEGREE + 2)
 _LOWER = _DEGREES[None, :] <= _DEGREES[:, None]  # [n, m] with m <= n
 
 
@@ -47,7 +50,7 @@ def _scaled_gap(ours, reference):
 
 def test_legendre_table_times_norm_is_scipy(nodes, scipy_x):
     t, _ = nodes
-    table, dt_table = _legendre_tables(MAX_DEGREE, t, grad=True)
+    table, dt_table = _legendre_tables(MAX_DEGREE + 1, t, grad=True)
     norm = np.array([[_norm_factor(n, m) if m <= n else 0.0 for m in _DEGREES] for n in _DEGREES])
     x_ref, dx_ref = scipy_x
     x = table * norm[:, :, None]
@@ -83,10 +86,10 @@ def test_scalar_sh_table_rows_are_the_scipy_harmonics(nodes, scipy_x):
 
 # (n, m) spot-checked against 50-digit mpmath next to the poles.  Measured
 # worst relative gaps: 2.0e-12 for P_{n,m} and 1.9e-12 for dP_{n,m}/dt, both
-# at (64, 64) on the node nearest a pole, consistent with the seed
-# (1 - t^2)^(m/2) raising the rounding of 1 - t^2 (up to 3e-13 relative
+# at (64, 64) and (65, 65) on the node nearest a pole, consistent with the
+# seed (1 - t^2)^(m/2) raising the rounding of 1 - t^2 (up to 3e-13 relative
 # there) to the 32nd power; dP_{5,0}/dt is off by 4.1e-13 there.
-_SPOT_PAIRS = [(5, 0), (12, 3), (40, 7), (64, 0), (50, 25), (64, 63), (64, 64)]
+_SPOT_PAIRS = [(5, 0), (12, 3), (40, 7), (64, 0), (50, 25), (64, 63), (64, 64), (65, 3), (65, 65)]
 _SPOT_RTOL = 1e-11
 
 
@@ -106,7 +109,7 @@ def test_legendre_tables_next_to_the_poles_are_50_digit_mpmath(nodes):
     mpmath = pytest.importorskip("mpmath")
     t, _ = nodes
     polar = t[[0, 1, -2, -1]]  # the two nodes nearest each pole
-    table, dt_table = _legendre_tables(MAX_DEGREE, polar, grad=True)
+    table, dt_table = _legendre_tables(MAX_DEGREE + 1, polar, grad=True)
     with mpmath.workdps(50):
         for n, m in _SPOT_PAIRS:
             for k, node in enumerate(polar.tolist()):

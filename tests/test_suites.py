@@ -153,3 +153,9 @@ def test_stacked_suites_are_the_per_field_loop_bitwise(seed):
     for name, value in expected.items():
         assert value > 0.0
         assert np.float64(residuals[name]).tobytes() == np.float64(value).tobytes(), name
+
+
+def test_run_suite_rejects_an_unknown_name():
+    # argparse's choices shield the CLI from this; library callers reach it.
+    with pytest.raises(ValueError, match="unknown suite 'nope'; choose from"):
+        suites.run_suite("nope", 0)

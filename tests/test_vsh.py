@@ -427,6 +427,61 @@ def test_coeffset_csv_rejects_duplicates(tmp_path):
         CoeffSet.from_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("a,b,c,d\n1,1,0,1.0\n", "unexpected header 'a,b,c,d'"),
+    ("i,n,j,value\n1,1,0\n", "line 2: expected 4 fields"),
+], ids=["header", "fields"])
+def test_coeffset_csv_rejects_a_bad_header_or_field_count(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        CoeffSet.from_csv(path)
+
+
+def test_coeffset_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("i,n,j,value\n\n1,1,0,2.0\n\n")
+    assert list(CoeffSet.from_csv(path).items_nonzero()) == [(ModeIndex(1, 1, 0), 2.0)]
+
+
+@pytest.mark.parametrize("band_limit", [-1, 65])
+def test_coeffset_rejects_a_band_limit_outside_the_cap(band_limit):
+    with pytest.raises(ValueError, match=rf"band limit {band_limit} outside \[0, 64\]"):
+        CoeffSet(band_limit)
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.zeros((3, 2, 5)), r"data shape \(3, 2, 5\) != \(3, 2, 3\)"),
+    (np.full((3, 2, 3), np.nan), "coefficients must be finite"),
+    (np.ones((3, 2, 3)), "nonzero coefficient outside the valid mode set"),
+], ids=["shape", "nan", "outside-the-mode-set"])
+def test_coeffset_rejects_bad_data(data, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSet(1, data)
+
+
+@pytest.mark.parametrize("vec, message", [
+    (np.ones(3), r"expected 10 coefficients, got \(3,\)"),
+    (np.full(10, np.inf), "coefficients must be finite"),
+], ids=["count", "inf"])
+def test_coeffset_from_vector_rejects_a_bad_vector(vec, message):
+    with pytest.raises(ValueError, match=message):
+        CoeffSet.from_vector(1, vec)
+
+
+def test_coeffset_adds_only_a_table_of_its_band():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        CoeffSet(1) + 1.0
+    with pytest.raises(ValueError, match="band limits differ; pad with with_band_limit first"):
+        CoeffSet(1) + CoeffSet(2)
+
+
+def test_random_coeffs_cannot_rescale_an_empty_family_set(rng):
+    # Families 2 and 3 have no degree-0 mode, so a band-0 table of them is all zero.
+    with pytest.raises(ValueError, match="cannot rescale an all-zero coefficient table"):
+        random_coeffs(0, rng, families=(2, 3), norm_sq=FOUR_PI)
+
+
 def test_random_coeffs_norm_and_families(rng):
     c = random_coeffs(4, rng, families=(2, 3), norm_sq=FOUR_PI)
     assert np.max(np.abs(c.data[0])) == 0.0
@@ -540,3 +595,5 @@ def test_unit_direction_rescales_only_out_of_range_directions():
     for bad in ((0.0, 0.0, 0.0), (np.inf, 0.0, 0.0), (np.nan, 1.0, 0.0)):
         with pytest.raises(ValueError):
             _unit_direction(bad)
+    with pytest.raises(ValueError, match="direction must be a 3-vector over orders j = -1, 0, 1"):
+        _unit_direction((1.0, 0.0))

@@ -816,6 +816,29 @@ MUTANTS = (
         'f"{kappa!r},{gam:.15g},',
         ("tests/test_portable_outputs.py::test_portable_outputs_match_the_committed_listing",),
     ),
+    # The lemma's two minimizer shapes, an input guard that had no test, and the
+    # Legendre tables one degree above MAX_DEGREE for the scalar energy route.
+    Mutant(
+        "eigensolver: the minimizer's guard deleted",
+        "src/sphere_poincare/eigensolver.py",
+        'raise ValueError(f"the first argmin channel {winners[0]} at kappa={kappa!r} is neither of the lemma\'s shapes")',
+        "pass",
+        ("tests/test_eigensolver.py::test_minimizer_builds_only_the_lemma_shapes",),
+    ),
+    Mutant(
+        "vsh: from_csv's header check deleted",
+        "src/sphere_poincare/vsh.py",
+        'raise ValueError(f"unexpected header {header!r}")',
+        "pass",
+        ("tests/test_vsh.py::test_coeffset_csv_rejects_a_bad_header_or_field_count",),
+    ),
+    Mutant(
+        "legendre: the tables stop at MAX_DEGREE",
+        "src/sphere_poincare/legendre.py",
+        "n_max <= MAX_DEGREE + 1:",
+        "n_max <= MAX_DEGREE:",
+        ("tests/test_grid.py::test_scalar_route_runs_one_degree_above_max_degree",),
+    ),
 )
 
 
