@@ -153,6 +153,13 @@ def _energy(basis, coeffs, radial, weights, kappa: float, work: _Work) -> float:
     return basis.dirichlet(coeffs) + kappa * float(np.add.reduce(weighted))
 
 
+def _finite(energy: float, step: int) -> float:
+    """``energy`` if it is finite; a NaN, or kappa times an anisotropy that overflowed, aborts at ``step``."""
+    if not math.isfinite(energy):
+        raise RuntimeError(f"energy is {energy} at step {step}; the iterate is no longer finite")
+    return energy
+
+
 def _force(basis, coeffs, radial, normal, kappa: float, work: _Work) -> np.ndarray:
     """Half the energy gradient: -lap u + kappa (u.n) n, the Laplacian band-truncated."""
     lap = _synthesized(basis, basis.eigenvalues[:, None] * coeffs)
@@ -282,7 +289,8 @@ def gradient_flow(
     destroys the probe for kappa > -2.  The step size must sit below the
     spectral stability bound 1/(N(N+1)); sample lengths that overflow,
     are NaN or are zero, an energy increase beyond tolerance, or a
-    non-finite energy abort with a diagnostic that names the step.
+    non-finite energy (the start's too, as step 0) abort with a
+    diagnostic that names the step.
     """
     _require_unit(u0)
     if steps < 1:
@@ -309,7 +317,7 @@ def gradient_flow(
     grad = np.empty_like(u)
     coeffs = basis.analyze(u.T)
     radial = _dot(u, normal, work.radial, work.rows)
-    energy = _energy(basis, coeffs, radial, weights, kappa, work)
+    energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), 0)
     # One force per accepted iterate serves its record and the next step;
     # the gradient is exactly twice it, as scaling by 2 is exact.
     force = _force(basis, coeffs, radial, normal, kappa, work)
@@ -328,10 +336,8 @@ def gradient_flow(
             raise RuntimeError(f"{exc} at step {step}") from None
         coeffs = basis.analyze(candidate.T)
         radial = _dot(candidate, normal, work.radial, work.rows)
-        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)
-        if not new_energy <= energy + _ENERGY_INCREASE_TOL:  # a NaN energy aborts too
-            if not math.isfinite(new_energy):
-                raise RuntimeError(f"energy is {new_energy} at step {step}; the iterate is no longer finite")
+        new_energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), step)
+        if not new_energy <= energy + _ENERGY_INCREASE_TOL:
             raise RuntimeError(
                 f"energy increased by {new_energy - energy:.3e} at step {step}; "
                 "dt too large for this band limit"

@@ -7,11 +7,14 @@ checks are encoded as residual 0/1 against tolerance 0.
 Per-draw, per-field and per-weight work runs as stacked array passes in
 which each table or weight keeps the arithmetic it has alone, so every
 report keeps its bytes: the fuzz draws in blocks of at most ``_BLOCK``
-tables, the 50 orthonormality round trips as one pair of dense einsums,
-the 100 energy-routes fields (their draw, synthesis, analysis, both
+tables, the 50 orthonormality round trips as one pair of dense einsums
+and its Gram matrix as the analysis of the stacked band-6 table, the
+100 energy-routes fields (their draw, synthesis, analysis, both
 routes' energies and their 400 route gaps) in one pass, and each lemma
 sweep's weights in one ``eigensolver._sweep``.  The lemma still builds
 one minimizer per weight, then checks all their entries in one pass.
+The stacked dense einsums are split over the CPUs of the process
+affinity (``vsh._split_stack``), which keeps every table's bits.
 """
 
 from __future__ import annotations
@@ -67,9 +70,7 @@ def suite_orthonormality(seed: int) -> list[Check]:
 
     grid = verification_grid(6)
     basis = vsh.vector_basis(grid, 6)
-    gram = np.einsum(
-        "mijk,nijk->mn", basis.matrix * grid.weights[..., None], basis.matrix
-    )
+    gram = basis._analyze_values(basis.matrix)  # row n holds every mode's inner product with mode n
     checks.append(
         Check(
             "vsh-gram-identity-n<=6",

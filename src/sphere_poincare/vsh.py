@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -294,7 +295,8 @@ class VectorBasis:
 
     The dense einsums also run on stacks of tables or samples (the private
     ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
-    any band); each table keeps the bits it has alone.
+    any band); each table keeps the bits it has alone.  A stack of two or
+    more is split over the CPUs of the process affinity (``_split_stack``).
 
     The basis refers to its grid weakly: the grid caches its bases, so a
     strong reference back would keep both alive until the cyclic
@@ -368,12 +370,46 @@ class VectorBasis:
 
     def _synthesize_tables(self, data: np.ndarray) -> np.ndarray:
         """Dense-route samples (..., n_t, n_phi, 3) of coefficient tables (..., 3, N+1, 2N+1) at this band."""
-        return np.einsum("...m,mijk->...ijk", data[..., _valid_mask(self.band_limit)], self.matrix)
+        matrix, coeffs = self.matrix, data[..., _valid_mask(self.band_limit)]
+        return _split_stack(lambda c: np.einsum("...m,mijk->...ijk", c, matrix), coeffs, 1)
 
     def _analyze_values(self, values: np.ndarray) -> np.ndarray:
         """Dense-route coefficient vectors (..., modes) of samples (..., n_t, n_phi, 3), in canonical mode order."""
-        weighted = values * self.grid.weights[..., None]
-        return np.einsum("mijk,...ijk->...m", self.matrix, weighted)
+        matrix, weights = self.matrix, self.grid.weights[..., None]
+        return _split_stack(lambda v: np.einsum("mijk,...ijk->...m", matrix, v * weights), values, 3)
+
+
+@lru_cache(maxsize=None)
+def _thread_pool():
+    """The thread pool of ``_split_stack``, made at its first split."""
+    from concurrent.futures import ThreadPoolExecutor  # a few ms to import, so not with the package
+
+    return ThreadPoolExecutor()
+
+
+def _split_stack(kernel, stack: np.ndarray, item_ndim: int) -> np.ndarray:
+    """``kernel(stack)`` for a kernel that maps each item of a stack on its own.
+
+    A stack of two or more items (``stack.ndim > item_ndim``) is split along
+    its leading axis into contiguous chunks, one per CPU in the process
+    affinity.  The calling thread computes the first chunk and a thread pool
+    the others (numpy's einsum releases the GIL) under the caller's
+    ``np.geterr()``; the chunks are concatenated.  Each item keeps the bits
+    it has alone.  An unstacked call, or one on a one-CPU host, runs inline.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = min(cpus, len(stack)) if stack.ndim > item_ndim else 1
+    if parts < 2:
+        return kernel(stack)
+    first, *rest = np.array_split(stack, parts)
+    policy = np.geterr()
+
+    def worker(chunk):
+        with np.errstate(**policy):
+            return kernel(chunk)
+
+    others = _thread_pool().map(worker, rest)  # submitted now, each result read below
+    return np.concatenate([kernel(first), *others])
 
 
 def vector_basis(grid: Grid, band_limit: int) -> VectorBasis:

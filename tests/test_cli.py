@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -268,6 +269,36 @@ def test_floating_point_error_names_the_command_and_its_float_options(method, tm
     captured = capsys.readouterr()
     assert captured.out == "" and list(tmp_path.iterdir()) == []
     assert captured.err == "error: minimize --kappa=-1e+300: overflow encountered in multiply\n"
+
+
+def test_a_floating_point_error_in_a_pool_chunk_is_one_error_line(monkeypatch, capsys):
+    # numpy's einsum sets no floating-point status, so the error comes from the weighting of
+    # orthonormality's stacked analysis, under an underflow policy that the CLI's own keeps.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with np.errstate(under="raise"):
+        assert main(["verify", "--suite", "orthonormality"]) == 0
+    capsys.readouterr()
+    random_tables = vsh._random_tables
+
+    def tiny_last(*args, **kwargs):
+        tables = random_tables(*args, **kwargs)
+        with np.errstate(under="ignore"):
+            tables[-1] *= 1e-307  # the last round trip, in the pool's chunk, underflows when weighted
+        return tables
+
+    monkeypatch.setattr(vsh, "_random_tables", tiny_last)
+    with np.errstate(under="raise"):
+        assert main(["verify", "--suite", "orthonormality"]) == 2
+    assert capsys.readouterr() == ("", "error: verify: underflow encountered in multiply\n")
+
+
+def test_flow_whose_energy_overflows_to_minus_inf_is_one_error_line(tmp_path, capsys):
+    # The energy -inf passed the energy-increase test once, so this exited 0 with result PASS.
+    argv = ["flow", "--kappa", "-1e308", "--dt", "1e-200", "--steps", "1", "--perturb", "10"]
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == "error: energy is -inf at step 1; the iterate is no longer finite\n"
 
 
 @pytest.mark.parametrize(

@@ -267,12 +267,12 @@ def test_flow_rejects_non_finite_input(kappa, values):
     "kappa, message",
     [
         (1e17, "energy increased by .* at step 2; dt too large"),
-        # The step's sample lengths overflow, or its doubled force does and they are NaN.
+        # The step's sample lengths overflow, or the start's energy already does.
         pytest.param(
             1e200, r"cannot normalize .* not finite \(one is inf\) at step 1$", id="1e+200-inf length at step 1"
         ),
         pytest.param(
-            1e308, r"cannot normalize .* not finite \(one is nan\) at step 1$", id="1e+308-nan length at step 1"
+            1e308, r"energy is inf at step 0; the iterate is no longer finite$", id="1e+308-inf energy at step 0"
         ),
     ],
 )
@@ -291,6 +291,28 @@ def test_flow_aborts_at_the_step_whose_energy_overflows():
     u0 = normalize_field(tilted)
     with pytest.raises(RuntimeError, match=r"^energy is inf at step 1; the iterate is no longer finite$"):
         gradient_flow(u0, kappa=1e308, dt=1e-200, steps=2, band_limit=4)
+
+
+def test_flow_aborts_at_the_step_whose_doubled_force_overflows():
+    # Far from the normal the start's energy stays finite (kappa times an anisotropy of
+    # about 0.8), but kappa (u.n) at the nodes next to the poles overflows when doubled,
+    # so the step's tangent part and its sample lengths are NaN.
+    u0 = _perturbed_normal(build_grid(10, 19), 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"^cannot normalize .* not finite \(one is nan\) at step 1$"):
+            gradient_flow(u0, kappa=1.7e308, dt=0.02, steps=2, band_limit=4)
+
+
+@pytest.mark.parametrize(
+    "perturb, step",
+    # Near the normal the start's anisotropy is about 4 pi and its energy already -inf;
+    # far from it the start is finite and the first step turns it towards the normal.
+    [(0.01, 0), (10.0, 1)],
+)
+def test_flow_aborts_at_the_step_whose_energy_is_minus_inf(perturb, step):
+    u0 = _perturbed_normal(build_grid(10, 19), perturb)
+    with pytest.raises(RuntimeError, match=rf"^energy is -inf at step {step}; the iterate is no longer finite$"):
+        gradient_flow(u0, kappa=-1e308, dt=1e-200, steps=2, band_limit=4)
 
 
 def test_flow_aborts_at_the_step_whose_sample_lengths_overflow():

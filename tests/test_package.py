@@ -1,5 +1,9 @@
 """The package namespace is the union of its seven layers' ``__all__`` lists."""
 
+import os
+import subprocess
+import sys
+
 import sphere_poincare
 from sphere_poincare import eigensolver, flow, grid, legendre, sharp, spectral, vsh
 
@@ -44,3 +48,12 @@ def test_each_package_name_is_its_layers_object():
 def test_every_name_exported_before_is_still_exported():
     assert len(EXPORTED) == 49
     assert set(EXPORTED) <= set(sphere_poincare.__all__)
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures takes a few ms to import; the dense transforms load it at their first split.
+    script = "import sys, sphere_poincare.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

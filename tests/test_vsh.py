@@ -199,6 +199,52 @@ def test_gram_matrix_identity():
     assert np.max(np.abs(gram - np.eye(len(basis.modes)))) < 1e-10
 
 
+def _affinity(monkeypatch, cpus):
+    """Make the process affinity read ``cpus`` CPUs, so a stack splits the same on every host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _same_bytes(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("band", range(1, 9))
+def test_split_stacks_are_the_per_table_calls_bytewise(band, monkeypatch):
+    grid = verification_grid(band)
+    basis = vector_basis(grid, band)
+    rng = np.random.default_rng(band)
+    for count in (1, 2, 3, 50, 145):
+        tables = _random_tables(band, rng, count)
+        values = rng.standard_normal((count,) + basis.matrix.shape[1:])
+        fields = np.stack([basis._synthesize_tables(table) for table in tables])
+        coeffs = np.stack([basis._analyze_values(field) for field in values])
+        for cpus in (1, 2, 3, 4):
+            _affinity(monkeypatch, cpus)
+            assert _same_bytes(basis._synthesize_tables(tables), fields), (count, cpus)
+            assert _same_bytes(basis._analyze_values(values), coeffs), (count, cpus)
+
+
+@pytest.mark.parametrize("band", range(2, 9))
+def test_gram_is_the_analysis_of_the_table_bytewise(band):
+    grid = verification_grid(band)
+    basis = vector_basis(grid, band)
+    gram = np.einsum("mijk,nijk->mn", basis.matrix * grid.weights[..., None], basis.matrix)
+    assert _same_bytes(basis._analyze_values(basis.matrix), gram)
+
+
+def test_a_pool_chunk_keeps_the_callers_floating_point_policy(monkeypatch):
+    # numpy's einsum sets no floating-point status, so the weighting is what can raise.
+    _affinity(monkeypatch, 2)
+    grid = verification_grid(4)
+    basis = vector_basis(grid, 4)
+    values = np.random.default_rng(4).standard_normal((4,) + basis.matrix.shape[1:])
+    values[-1] *= 1e-307  # weighted, the last field underflows; it is the pool's chunk
+    basis._analyze_values(values)  # numpy's default policy ignores an underflow
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="^underflow encountered in multiply$"):
+            basis._analyze_values(values)
+
+
 def test_vsh_inner_product_examples():
     grid = verification_grid(2)
     y1 = synthesize(_single(1, 1, 0), grid)

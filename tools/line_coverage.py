@@ -2,10 +2,12 @@
 
     python3 tools/line_coverage.py
 
-Runs the test suite (``tests/``) in-process under a ``sys.settrace``
-line tracer, as a pytest plugin, and prints one line per statement
-inside a function body of ``src/`` that no test ran, as
-``path:line: source text``; it exits with pytest's exit code.  Module
+Runs the test suite (``tests/``) in-process under a line tracer, as a
+pytest plugin, and prints one line per statement inside a function body
+of ``src/`` that no test ran, as ``path:line: source text``; it exits
+with pytest's exit code.  The tracer is set with ``sys.settrace`` and,
+for the threads started during the run (the dense transforms' thread
+pool), with ``threading.settrace``.  Module
 and class bodies and ``def`` lines run at import time, before any test,
 so only function bodies count, and their docstrings are left out.  A
 statement counts as run when any line of it ran (of a compound
@@ -24,6 +26,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import threading
 
 import pytest
 
@@ -73,10 +76,12 @@ class LineTracer:
         return local
 
     def pytest_sessionstart(self, session) -> None:
+        threading.settrace(self._global)
         sys.settrace(self._global)
 
     def pytest_sessionfinish(self, session, exitstatus) -> None:
         sys.settrace(None)
+        threading.settrace(None)
 
     def uncovered(self):
         """(path relative to the repo, line, stripped text) of every statement never run."""

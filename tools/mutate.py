@@ -50,6 +50,7 @@ _BAD_INPUT = "tests/test_cli.py::test_bad_input_gives_one_line_error"
 _CRITERION = "tests/test_acceptance.py::test_criterion_"
 _RATE = "tests/test_flow.py::test_flow_step_scales_the_distance_to_the_normal_by_one_plus_two_kappa_dt"
 _STACKED_SUITES = "tests/test_suites.py::test_stacked_suites_are_the_per_field_loop_bitwise"
+_GRAM = "tests/test_vsh.py::test_gram_is_the_analysis_of_the_table_bytewise"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -218,8 +219,10 @@ MUTANTS = (
     Mutant(
         "flow: stale radial part after a step",
         "src/sphere_poincare/flow.py",
-        "radial = _dot(candidate, normal, work.radial, work.rows)\n        new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
-        "new_energy = _energy(basis, coeffs, _dot(candidate, normal, np.empty(len(weights)), work.rows), weights, kappa, work)",
+        "radial = _dot(candidate, normal, work.radial, work.rows)\n"
+        "        new_energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), step)",
+        "new_energy = _finite(_energy(basis, coeffs, _dot(candidate, normal, np.empty(len(weights)), work.rows),"
+        " weights, kappa, work), step)",
         (_REFERENCE_FLOW,),
     ),
     # The lean flow step.
@@ -264,7 +267,7 @@ MUTANTS = (
         "src/sphere_poincare/flow.py",
         "np.multiply(force, 2.0, out=grad)\n        _tangent_part(grad, u, grad, work)\n        grad *= dt\n",
         "np.copyto(grad, force)\n        _tangent_part(grad, u, grad, work)\n        grad *= 2.0 * dt\n",
-        ("tests/test_flow.py::test_flow_aborts_on_a_rising_or_non_finite_energy",),
+        ("tests/test_flow.py::test_flow_aborts_at_the_step_whose_doubled_force_overflows",),
     ),
     Mutant(
         "flow: a record writes u - n over the iterate the next step reads",
@@ -838,6 +841,52 @@ MUTANTS = (
         "n_max <= MAX_DEGREE + 1:",
         "n_max <= MAX_DEGREE:",
         ("tests/test_grid.py::test_scalar_route_runs_one_degree_above_max_degree",),
+    ),
+    # Stacked dense transforms split over the CPUs, each table keeping its bits.
+    Mutant(
+        "vsh: analysis split over the node axis instead of the table axis",
+        "src/sphere_poincare/vsh.py",
+        'return _split_stack(lambda v: np.einsum("mijk,...ijk->...m", matrix, v * weights), values, 3)',
+        'return sum(np.einsum("mijk,...ijk->...m", matrix[:, h], values[..., h, :, :] * weights[h])'
+        " for h in np.array_split(np.arange(matrix.shape[1]), 2))",
+        (_GRAM, _STACKED_SUITES),
+    ),
+    Mutant(
+        "vsh: the pool's chunks run under numpy's default floating-point policy",
+        "src/sphere_poincare/vsh.py",
+        "with np.errstate(**policy):",
+        "with np.errstate():",
+        ("tests/test_vsh.py::test_a_pool_chunk_keeps_the_callers_floating_point_policy",
+         "tests/test_cli.py::test_a_floating_point_error_in_a_pool_chunk_is_one_error_line"),
+    ),
+    Mutant(
+        "vsh: the caller's own chunk left out of the concatenation",
+        "src/sphere_poincare/vsh.py",
+        "np.concatenate([kernel(first), *others])",
+        "np.concatenate([*others])",
+        ("tests/test_vsh.py::test_split_stacks_are_the_per_table_calls_bytewise",),
+    ),
+    Mutant(
+        "vsh: concurrent.futures imported with the package",
+        "src/sphere_poincare/vsh.py",
+        "import itertools\nimport math\nimport os\n",
+        "import concurrent.futures\nimport itertools\nimport math\nimport os\n",
+        ("tests/test_package.py::test_import_loads_no_thread_pool",),
+    ),
+    # Every energy the flow accepts is finite, the start's included.
+    Mutant(
+        "flow: the start's energy unchecked",
+        "src/sphere_poincare/flow.py",
+        "energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), 0)",
+        "energy = _energy(basis, coeffs, radial, weights, kappa, work)",
+        ("tests/test_flow.py::test_flow_aborts_at_the_step_whose_energy_is_minus_inf",),
+    ),
+    Mutant(
+        "flow: a step's energy checked only by the increase test",
+        "src/sphere_poincare/flow.py",
+        "new_energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), step)",
+        "new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
+        ("tests/test_cli.py::test_flow_whose_energy_overflows_to_minus_inf_is_one_error_line",),
     ),
 )
 
