@@ -291,7 +291,10 @@ class VectorBasis:
     the grid's ``scalar_basis`` transform of u.n, and families 2 and 3 pair
     u.e_phi and u.e_t with two (n, j)-ordered ((N+1)^2, nodes) tables,
     A = (dY/dphi) / s / sqrt(n(n+1)) and B = s (dY/dt) / sqrt(n(n+1)) with s = sqrt(1 - t^2),
-    so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  ``matrix`` is built only when read.
+    so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  Analysis reads A and B
+    row-major, with the weighted (u.e_phi, u.e_t) rows as the left factor
+    (``tangential @ A.T``); synthesis forms ``A.T @ c[1:].T``.  ``matrix``
+    and ``modes`` are built only when read.
 
     The dense einsums also run on stacks of tables or samples (the private
     ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
@@ -307,7 +310,6 @@ class VectorBasis:
         _require_resolution(grid, band_limit)
         self._grid = weakref.ref(grid)
         self.band_limit = band_limit
-        self.modes = mode_list(band_limit)
         if band_limit <= _DENSE_MAX_BAND:
             self.matrix  # built now: the transforms contract it
             return
@@ -320,6 +322,11 @@ class VectorBasis:
         b *= s
         b *= scale[:, None, None]
         self._a, self._b = (table.reshape(len(table), -1) for table in (a, b))
+
+    @cached_property
+    def modes(self) -> list[ModeIndex]:
+        """Every mode up to the band, in canonical order; made only when read."""
+        return mode_list(self.band_limit)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -362,21 +369,25 @@ class VectorBasis:
             return CoeffSet.from_vector(self.band_limit, self._analyze_values(u.values))
         weighted = u.values * self.grid.weights[..., None]
         eps_phi, eps_t, normal = self.grid.frame
-        tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)], axis=1)
+        tangential = np.stack([_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)])
         c1 = scalar_basis(self.grid, self.band_limit).analyze(_dot3(u.values, normal).reshape(-1))
-        a_u, b_u = self._a @ tangential, self._b @ tangential
-        c2, c3 = a_u[:, 0] + b_u[:, 1], a_u[:, 1] - b_u[:, 0]
+        a_u, b_u = tangential @ self._a.T, tangential @ self._b.T  # (2, rows): u.e_phi and u.e_t
+        c2, c3 = a_u[0] + b_u[1], a_u[1] - b_u[0]
         return CoeffSet.from_vector(self.band_limit, np.concatenate((c1, c2[1:], c3[1:])))
 
     def _synthesize_tables(self, data: np.ndarray) -> np.ndarray:
         """Dense-route samples (..., n_t, n_phi, 3) of coefficient tables (..., 3, N+1, 2N+1) at this band."""
         matrix, coeffs = self.matrix, data[..., _valid_mask(self.band_limit)]
-        return _split_stack(lambda c: np.einsum("...m,mijk->...ijk", c, matrix), coeffs, 1)
+        return _split_stack(
+            lambda c, out: np.einsum("...m,mijk->...ijk", c, matrix, out=out), coeffs, 1, matrix.shape[1:]
+        )
 
     def _analyze_values(self, values: np.ndarray) -> np.ndarray:
         """Dense-route coefficient vectors (..., modes) of samples (..., n_t, n_phi, 3), in canonical mode order."""
         matrix, weights = self.matrix, self.grid.weights[..., None]
-        return _split_stack(lambda v: np.einsum("mijk,...ijk->...m", matrix, v * weights), values, 3)
+        return _split_stack(
+            lambda v, out: np.einsum("mijk,...ijk->...m", matrix, v * weights, out=out), values, 3, matrix.shape[:1]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -387,29 +398,36 @@ def _thread_pool():
     return ThreadPoolExecutor()
 
 
-def _split_stack(kernel, stack: np.ndarray, item_ndim: int) -> np.ndarray:
-    """``kernel(stack)`` for a kernel that maps each item of a stack on its own.
+def _split_stack(kernel, stack: np.ndarray, item_ndim: int, out_shape: tuple) -> np.ndarray:
+    """``kernel(stack, None)`` for a kernel that maps each item of a stack on its own.
 
+    ``kernel(chunk, out)`` writes its result into ``out``, or into a fresh
+    array when ``out`` is None; each item's result has shape ``out_shape``.
     A stack of two or more items (``stack.ndim > item_ndim``) is split along
     its leading axis into contiguous chunks, one per CPU in the process
-    affinity.  The calling thread computes the first chunk and a thread pool
-    the others (numpy's einsum releases the GIL) under the caller's
-    ``np.geterr()``; the chunks are concatenated.  Each item keeps the bits
-    it has alone.  An unstacked call, or one on a one-CPU host, runs inline.
+    affinity, and the result is allocated once: the calling thread writes
+    the first chunk's slice and a thread pool the others (numpy's einsum
+    releases the GIL) under the caller's ``np.geterr()``.  Each item keeps
+    the bits it has alone.  An unstacked call, or one on a one-CPU host,
+    runs inline.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     parts = min(cpus, len(stack)) if stack.ndim > item_ndim else 1
     if parts < 2:
-        return kernel(stack)
-    first, *rest = np.array_split(stack, parts)
+        return kernel(stack, None)
+    out = np.empty(stack.shape[:-item_ndim] + out_shape)
+    (first, *rest), (head, *tail) = np.array_split(stack, parts), np.array_split(out, parts)
     policy = np.geterr()
 
-    def worker(chunk):
+    def worker(chunk, into):
         with np.errstate(**policy):
-            return kernel(chunk)
+            kernel(chunk, into)
 
-    others = _thread_pool().map(worker, rest)  # submitted now, each result read below
-    return np.concatenate([kernel(first), *others])
+    others = _thread_pool().map(worker, rest, tail)  # submitted now, waited for below
+    kernel(first, head)
+    for _ in others:  # re-raises a chunk's error
+        pass
+    return out
 
 
 def vector_basis(grid: Grid, band_limit: int) -> VectorBasis:

@@ -301,8 +301,29 @@ MUTANTS = (
     Mutant(
         "vsh: c3 with the sign of B u_phi flipped",
         "src/sphere_poincare/vsh.py",
-        "a_u[:, 1] - b_u[:, 0]",
-        "a_u[:, 1] + b_u[:, 0]",
+        "a_u[1] - b_u[0]",
+        "a_u[1] + b_u[0]",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: u_phi and u_t swapped in synthesis",
+        "src/sphere_poincare/vsh.py",
+        "u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]",
+        "u_t, u_phi = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: analysis stacks u.e_t above u.e_phi",
+        "src/sphere_poincare/vsh.py",
+        "[_dot3(weighted, eps_phi).reshape(-1), _dot3(weighted, eps_t).reshape(-1)]",
+        "[_dot3(weighted, eps_t).reshape(-1), _dot3(weighted, eps_phi).reshape(-1)]",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: analysis reads B where A belongs",
+        "src/sphere_poincare/vsh.py",
+        "a_u, b_u = tangential @ self._a.T,",
+        "a_u, b_u = tangential @ self._b.T,",
         (_FRAME_ROUTE,),
     ),
     Mutant(
@@ -846,7 +867,9 @@ MUTANTS = (
     Mutant(
         "vsh: analysis split over the node axis instead of the table axis",
         "src/sphere_poincare/vsh.py",
-        'return _split_stack(lambda v: np.einsum("mijk,...ijk->...m", matrix, v * weights), values, 3)',
+        "return _split_stack(\n"
+        '            lambda v, out: np.einsum("mijk,...ijk->...m", matrix, v * weights, out=out), values, 3,'
+        " matrix.shape[:1]\n        )",
         'return sum(np.einsum("mijk,...ijk->...m", matrix[:, h], values[..., h, :, :] * weights[h])'
         " for h in np.array_split(np.arange(matrix.shape[1]), 2))",
         (_GRAM, _STACKED_SUITES),
@@ -860,10 +883,10 @@ MUTANTS = (
          "tests/test_cli.py::test_a_floating_point_error_in_a_pool_chunk_is_one_error_line"),
     ),
     Mutant(
-        "vsh: the caller's own chunk left out of the concatenation",
+        "vsh: the caller's own chunk never written into the result",
         "src/sphere_poincare/vsh.py",
-        "np.concatenate([kernel(first), *others])",
-        "np.concatenate([*others])",
+        "    kernel(first, head)\n",
+        "    kernel(first, None)\n",
         ("tests/test_vsh.py::test_split_stacks_are_the_per_table_calls_bytewise",),
     ),
     Mutant(
