@@ -136,6 +136,8 @@ def cmd_gamma(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
+    if args.seed < 0:  # numpy rejects it in some suites only, and without naming the option
+        raise ValueError("--seed must be a non-negative integer")
     checks = run_suite(args.suite, args.seed)
     parameters = {"suite": args.suite, "seed": args.seed}
     return _report(args, start, f"verify --suite {args.suite}", parameters, checks, args.out)

@@ -154,9 +154,9 @@ def _energy(basis, coeffs, radial, weights, kappa: float, work: _Work) -> float:
 
 
 def _finite(energy: float, step: int) -> float:
-    """``energy`` if it is finite; a NaN, or kappa times an anisotropy that overflowed, aborts at ``step``."""
+    """``energy`` if finite; an accepted iterate is unit and finite, so only kappa times its anisotropy overflows."""
     if not math.isfinite(energy):
-        raise RuntimeError(f"energy is {energy} at step {step}; the iterate is no longer finite")
+        raise RuntimeError(f"energy is {energy} at step {step}; kappa times the anisotropy integral overflows")
     return energy
 
 

@@ -21,7 +21,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .legendre import _SQRT2, _legendre_tables, _norm_factor, scalar_sh_table
+from .legendre import _order_tables, _row_orders, scalar_sh_table
 
 __all__ = [
     "FOUR_PI",
@@ -254,11 +254,6 @@ def _live_grid(ref: weakref.ref) -> Grid:
     return grid
 
 
-def _row_degrees(band_limit: int) -> np.ndarray:
-    """Degree n of each row of an (n, j)-ordered table up to ``band_limit``."""
-    return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
-
-
 class ScalarBasis:
     """Scalar spherical-harmonic transform for one grid and band limit.
 
@@ -273,10 +268,10 @@ class ScalarBasis:
     Up to band ``_DENSE_MAX_BAND + 1`` the transforms contract ``matrix``,
     the (modes, n_t, n_phi) node values of every Y_{n,j}.  Above it they
     are separable, as Y_{n,j}(t, phi) = X_{n,|j|}(t) T_j(phi) with T_0 = 1,
-    T_{-m} = sqrt2 cos(m phi) and T_m = sqrt2 sin(m phi): one product over
-    phi with the (order, cos/sin slot, n_phi) table T, one batched product
-    over t with the per-order table X[m, n, t] (zero for n < m), and one
-    gather of (order, slot, degree) into (n, j) order, or the reverse.
+    T_{-m} = cos(m phi) and T_m = sin(m phi): one product over phi with the
+    (order, cos/sin slot, n_phi) table T, one batched product over t with
+    the per-order table X[m, n, t] of ``_order_tables`` (zero for n < m),
+    and one gather of (order, slot, degree) into (n, j) order, or back.
     There ``matrix`` is built only when read, as a dense oracle.
 
     The basis refers to its grid weakly: the grid caches its bases, so a
@@ -287,8 +282,7 @@ class ScalarBasis:
     def __init__(self, grid: Grid, band_limit: int):
         _require_resolution(grid, band_limit)
         self.band_limit = band_limit
-        n = _row_degrees(band_limit)
-        j = np.arange(n.size) - n * (n + 1)
+        n, j = _row_orders(band_limit)
         self.degrees = list(zip(n.tolist(), j.tolist()))
         self.eigenvalues = (n * (n + 1)).astype(float)
         self._grid = weakref.ref(grid)
@@ -299,12 +293,9 @@ class ScalarBasis:
             self._table = self.matrix.reshape(n.size, -1)
             self._weighted = np.multiply(self._table, grid.weights.reshape(-1))
             return
-        orders = range(band_limit + 1)
-        norms = np.array([[_norm_factor(d, m) if m <= d else 0.0 for d in orders] for m in orders])
-        x = np.swapaxes(_legendre_tables(band_limit, grid.t, grad=False)[0], 0, 1) * norms[:, :, None]
+        (x,) = _order_tables(band_limit, grid.t, grad=False)
         angle = np.multiply.outer(np.arange(band_limit + 1), grid.phi)
-        trig = _SQRT2 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        trig[0, 0] = 1.0  # Y_{n,0} = X_{n,0}; the order-0 sine slot is sin(0) = 0
+        trig = np.stack([np.cos(angle), np.sin(angle)], axis=1)  # the order-0 sine slot is sin(0) = 0
         self._x, self._x_w = x, x * grid.w_t
         self._trig, self._trig_w = trig, trig * grid.w_phi
         # Row of each (n, j) mode in the flattened (order, slot, degree) products:

@@ -11,15 +11,15 @@ Conventions used throughout the package:
   harmonics are orthonormal for the surface inner product on the sphere.
 
 Evaluation builds one Legendre table: per order, a diagonal seed and one
-pass of the stable three-term recurrence upward in the degree.  The
-dense bases (through ``scalar_sh_table``) and every per-(n, j) point
-evaluator read that table; the Rodrigues formula is kept only as a
-small-degree test oracle in the test suite.
+pass of the stable three-term recurrence upward in the degree.  Only
+``_order_tables`` scales it into harmonic factors, and point evaluators
+their one entry alike; the Rodrigues formula is a test oracle only.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -126,50 +126,59 @@ def normalized_legendre_dt(n: int, j: int, t):
     return assoc_legendre_dt(n, j, t) * _norm_factor(n, j)
 
 
-def _write_order(out, lo, hi, m: int, phi, x, dx=None) -> None:
-    """Write Y_{n,-m} at rows ``lo`` and Y_{n,m} at rows ``hi`` of ``out[0]``
-    from X_{n,m} values ``x``, and with ``dx`` (dX_{n,m}/dt values) their
-    dY/dphi and dY/dt rows in ``out[1]`` and ``out[2]``; for m = 0 only the
-    rows ``hi`` of X_{n,0}.  ``x`` and ``dx`` are scaled in place.
+@cache
+def _norm_table(n_max: int) -> np.ndarray:
+    """``_norm_factor(n, m)`` at [m, n], zero for n < m; read-only, as it is shared."""
+    norms = np.array([[_norm_factor(n, m) if m <= n else 0.0 for n in range(n_max + 1)] for m in range(n_max + 1)])
+    norms.setflags(write=False)
+    return norms
 
-    Cosine branch for j < 0, sine for j > 0: cos(-m phi) and sin(-m phi)
-    are cos(m phi) and -sin(m phi) bit for bit, so one cos(m phi) and one
-    sin(m phi) serve both orders.  Each product goes into ``out`` as it is
-    formed, so no temporary is larger than one order's rows.
-    """
-    if m == 0:
-        out[0][hi] = x
-        if dx is not None:
-            out[1][hi] = 0.0
-            out[2][hi] = dx
-        return
-    cos, sin = np.cos(m * phi), np.sin(m * phi)
-    x *= _SQRT2
-    out[0][lo] = x * cos
-    out[0][hi] = x * sin
-    if dx is not None:
-        x *= m
-        out[1][lo] = x * -sin
-        out[1][hi] = x * cos
-        dx *= _SQRT2
-        out[2][lo] = dx * cos
-        out[2][hi] = dx * sin
+
+def _order_tables(n_max: int, t, grad: bool) -> list:
+    """Per-order factor tables [m, n] up to degree ``n_max``: X_{n,m}(t), times sqrt2 for
+    m > 0 and zero for n < m, and with ``grad`` (|t| < 1) their t-derivatives.  Y_{n,j}
+    is the factor of m = |j| times its wave (``_harmonic_rows``)."""
+    norms = _norm_table(n_max).reshape((n_max + 1,) * 2 + (1,) * np.ndim(t))
+    tables = [np.swapaxes(table, 0, 1) * norms for table in _legendre_tables(n_max, t, grad)[: 1 + grad]]
+    for x in tables:
+        x[1:] *= _SQRT2  # after the norm: (P * norm) * sqrt2, rounded as _sh_mode rounds its entry
+    return tables
+
+
+def _row_orders(band_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree n and order j of each row of an (n, j)-ordered table up to ``band_limit``."""
+    n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+    return n, np.arange(n.size) - n * (n + 1)
+
+
+def _harmonic_rows(band_limit: int, phi, tables: list, d_phi_tables: list):
+    """Yield the (n, j) rows table[|j|, n] * wave of each per-order table [m, n] (entries padded against
+    phi): with the wave of Y, cos(m phi), 1 or sin(m phi) for j = -m, 0 or m, for ``tables``, then with
+    that of dY/dphi over m, -sin(m phi), 1 or cos(m phi), for ``d_phi_tables``; one cos, sin per order."""
+    n, j = _row_orders(band_limit)
+    angle = np.multiply.outer(np.arange(band_limit + 1), phi)
+    cos, sin = np.cos(angle), np.sin(angle)
+    for group, pair, second in ((tables, (cos, sin), j > 0), (d_phi_tables, (-sin, cos), j >= 0)):
+        wave = np.concatenate(pair)[np.abs(j) + (band_limit + 1) * second] if group else None
+        yield from (table[np.abs(j), n] * wave for table in group)
+        del wave  # one gathered wave is alive at a time
 
 
 def _sh_mode(n: int, j: int, phi, t, grad: bool = False) -> tuple:
     """The rows of Y_{n,j} that ``scalar_sh_table`` writes, at (phi, t) from a
     table up to degree n: (Y,), and with ``grad`` (Y, dY/dphi, dY/dt).  The
-    rows of j = 0 have the shape of t, the others the broadcast shape."""
+    rows of j = 0 have the shape of t, the others the broadcast shape.  Only (n, m) is scaled."""
     if abs(j) > n:
         raise ValueError(f"order j={j} outside [-n, n] for n={n}")
     _check_degree_order(n, 0)
     m, phi = abs(j), np.asarray(phi, dtype=float)
-    norm = _norm_factor(n, m)
-    shape = np.broadcast(phi if m else 0.0, t).shape
-    out = tuple(np.empty((2,) + shape) for _ in range(1 + 2 * grad))
-    tables = _legendre_tables(n, t, grad)[: 1 + grad]
-    _write_order(out, 0, 1, m, phi, *(tab[n, m] * norm for tab in tables))
-    return tuple(rows[int(j >= 0)] for rows in out)
+    scale = _SQRT2 if m else 1.0  # (P * norm) * sqrt2 as in _order_tables, which would copy the table
+    x, *dx = (table[n, m] * _norm_table(n)[m, n] * scale for table in _legendre_tables(n, t, grad)[: 1 + grad])
+    if m == 0:
+        return (x, np.zeros(np.shape(x)), *dx) if grad else (x,)
+    cos, sin = np.cos(m * phi), np.sin(m * phi)
+    wave, d_wave = (sin, cos) if j > 0 else (cos, -sin)
+    return (x * wave, x * m * d_wave, dx[0] * wave) if grad else (x * wave,)
 
 
 def scalar_sh(n: int, j: int, phi, t):
@@ -196,20 +205,18 @@ def scalar_sh_table(band_limit: int, phi, t, grad: bool = False):
     ``grad`` (|t| < 1 only) returns (Y, dY/dphi, dY/dt), stacked alike.
     Cosine branch for j < 0, sine branch for j > 0, plain X_{n,0} for j = 0.
 
-    One ``_write_order`` pass per order m writes the rows (n, -m) and
-    (n, m) of every degree n >= m, as ``_sh_mode`` does for one mode.
+    Each row is its ``_order_tables`` factor times its wave, as in ``_sh_mode``.
     """
     _check_degree_order(band_limit, 0)
-    table, dt_table = _legendre_tables(band_limit, t, grad)
-    phi = np.asarray(phi, dtype=float)
+    phi, t = np.asarray(phi, dtype=float), np.asarray(t, dtype=float)
     shape = np.broadcast(phi, t).shape
-    # Each table entry has the shape of t, padded on the left to broadcast against phi.
-    entry = (1,) * (len(shape) - np.ndim(t)) + np.shape(t)
-    tables = [tab.reshape(tab.shape[:2] + entry) for tab in (table, dt_table)[: 1 + grad]]
-    out = tuple(np.empty(((band_limit + 1) ** 2,) + shape) for _ in range(1 + 2 * grad))
-    for m in range(band_limit + 1):
-        n = np.arange(m, band_limit + 1)
-        centre = n * (n + 1)  # the row of Y_{n,0}
-        norms = np.array([_norm_factor(d, m) for d in n.tolist()]).reshape((-1,) + (1,) * len(shape))
-        _write_order(out, centre - m, centre + m, m, phi, *(tab[m:, m] * norms for tab in tables))
-    return out if grad else out[0]
+    # Padded on the left, a factor row (the shape of t) broadcasts against a wave (the shape of phi).
+    phi, t = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (phi, t))
+    x, *dx = _order_tables(band_limit, t, grad)
+    m = np.arange(band_limit + 1).reshape((-1,) + (1,) * (x.ndim - 1))
+    y, *rows = _harmonic_rows(band_limit, phi, [x, *dx], [x * m] if grad else [])
+    if not grad:
+        return y
+    d_t, d_phi = rows
+    d_phi[np.arange(band_limit + 1) * np.arange(1, band_limit + 2)] = 0.0  # rows n(n+1), j = 0: m X is -0.0 where X < 0
+    return y, d_phi, d_t

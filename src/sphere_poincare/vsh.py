@@ -30,13 +30,12 @@ from .grid import (
     _dot3,
     _live_grid,
     _require_resolution,
-    _row_degrees,
     _same_grid,
     _write_text,
     scalar_basis,
     tangent_frame,
 )
-from .legendre import MAX_DEGREE, _sh_mode, scalar_sh_table
+from .legendre import MAX_DEGREE, _harmonic_rows, _order_tables, _row_orders, _sh_mode, scalar_sh_table
 
 __all__ = [
     "ModeIndex",
@@ -291,7 +290,8 @@ class VectorBasis:
     the grid's ``scalar_basis`` transform of u.n, and families 2 and 3 pair
     u.e_phi and u.e_t with two (n, j)-ordered ((N+1)^2, nodes) tables,
     A = (dY/dphi) / s / sqrt(n(n+1)) and B = s (dY/dt) / sqrt(n(n+1)) with s = sqrt(1 - t^2),
-    so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi.  Analysis reads A and B
+    so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi: per-order X and dX/dt scaled by
+    m / (s sqrt(n(n+1))) and s / sqrt(n(n+1)), times their waves.  Analysis reads A and B
     row-major, with the weighted (u.e_phi, u.e_t) rows as the left factor
     (``tangential @ A.T``); synthesis forms ``A.T @ c[1:].T``.  ``matrix``
     and ``modes`` are built only when read.
@@ -313,14 +313,13 @@ class VectorBasis:
         if band_limit <= _DENSE_MAX_BAND:
             self.matrix  # built now: the transforms contract it
             return
-        _, a, b = scalar_sh_table(band_limit, grid.phi[None, :], grid.t[:, None], grad=True)
+        x, dx = _order_tables(band_limit, grid.t[:, None], grad=True)  # [m, n, t, 1]
         s = np.sqrt(1.0 - grid.t * grid.t)[:, None]
-        n = _row_degrees(band_limit)
-        scale = np.divide(1.0, np.sqrt(n * (n + 1.0)), out=np.zeros(n.size), where=n > 0)  # zero rows at n = 0
-        a /= s
-        a *= scale[:, None, None]
-        b *= s
-        b *= scale[:, None, None]
+        m = np.arange(band_limit + 1.0)  # also the degrees n
+        scale = np.divide(1.0, np.sqrt(m * (m + 1.0)), out=np.zeros(m.size), where=m > 0)[:, None, None]  # 0 at n = 0
+        x *= m[:, None, None, None] * scale / s  # m / (s sqrt(n(n+1)))
+        dx *= scale * s  # s / sqrt(n(n+1))
+        b, a = _harmonic_rows(band_limit, grid.phi[None, :], [dx], [x])
         self._a, self._b = (table.reshape(len(table), -1) for table in (a, b))
 
     @cached_property
@@ -336,7 +335,7 @@ class VectorBasis:
         rows = len(y)
         matrix = np.empty((3 * rows - 2, grid.n_t, grid.n_phi, 3))
         # Family 1 over every (n, j), then families 2 and 3 from n = 1 (row 1 on).
-        n = _row_degrees(self.band_limit)
+        n, _ = _row_orders(self.band_limit)
         blocks = matrix[:rows], matrix[rows : 2 * rows - 1], matrix[2 * rows - 1 :]
         _family_blocks(grid.frame, y, d_phi[1:], d_t[1:], n[1:], *blocks)
         return matrix

@@ -247,11 +247,17 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         ["minimize", "--kappa=-1e300", "--method", "numeric", "--out", "{tmp}/m"],
         # A descending table.
         ["gamma", "--range", "1", "0", "3"],
+        # A negative seed, which equality and lemma once ran with and passed.
+        ["verify", "--suite", "inequality", "--seed=-1"],
+        ["verify", "--suite", "orthonormality", "--seed=-1"],
+        ["verify", "--suite", "energy-routes", "--seed=-1"],
+        ["verify", "--suite", "equality", "--seed=-1"],
+        ["verify", "--suite", "lemma", "--seed=-1"],
     ],
     # Each row keeps the id it had while this test also took an environment
     # seed, so no row changes its name; ids 4, 13 and 24 were the rows of
     # that seed and of the removed minimize --tol.
-    ids=[f"argv{i}-None" for i in range(46) if i not in (4, 13, 24)],
+    ids=[f"argv{i}-None" for i in range(51) if i not in (4, 13, 24)],
 )
 def test_bad_input_gives_one_line_error(argv, tmp_path, capsys):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
@@ -298,7 +304,7 @@ def test_flow_whose_energy_overflows_to_minus_inf_is_one_error_line(tmp_path, ca
     assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and list(tmp_path.iterdir()) == []
-    assert captured.err == "error: energy is -inf at step 1; the iterate is no longer finite\n"
+    assert captured.err == "error: energy is -inf at step 1; kappa times the anisotropy integral overflows\n"
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from sphere_poincare.grid import (
 )
 from sphere_poincare.grid import SampledVectorField
 from sphere_poincare.legendre import (
+    _sh_mode,
     assoc_legendre,
     assoc_legendre_dt,
     normalized_legendre,
@@ -231,11 +232,30 @@ def test_single_mode_evaluators_skip_the_full_table(monkeypatch):
         raise AssertionError("a single-mode evaluator built every row up to its degree")
 
     monkeypatch.setattr(legendre, "scalar_sh_table", full_table)
+    monkeypatch.setattr(legendre, "_order_tables", full_table)  # a second copy of the Legendre table
     t_mesh, phi_mesh = verification_grid(6).meshes
     for j in (-3, 0, 4):
         scalar_sh(6, j, phi_mesh, t_mesh)
         scalar_sh_grad_components(6, j, phi_mesh, t_mesh)
         eval_vsh(ModeIndex(2, 6, j), phi_mesh, t_mesh)
+
+
+@pytest.mark.parametrize("band", range(13))
+def test_table_rows_are_the_single_mode_rows_bytewise(band):
+    # Also pins the order-0 dY/dphi rows at +0.0, not -0.0 where X_{n,0} < 0.
+    grid = verification_grid(band)
+    rng = np.random.default_rng(band)
+    points = rng.uniform(0.0, 2.0 * math.pi, 11), rng.uniform(-0.99, 0.99, 11)
+    for phi, t in ((grid.phi[None, :], grid.t[:, None]), points):
+        table = scalar_sh_table(band, phi, t, grad=True)
+        shape = table[0].shape[1:]
+        row = 0
+        for n in range(band + 1):
+            for j in range(-n, n + 1):
+                for got, expected in zip(table, _sh_mode(n, j, phi, t, grad=True)):
+                    assert got[row].tobytes() == np.broadcast_to(expected, shape).tobytes(), (n, j)
+                row += 1
+        assert row == len(table[0])
 
 
 def test_scalar_sh_rejects_an_order_above_its_degree():

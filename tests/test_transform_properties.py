@@ -1,4 +1,5 @@
-"""Round trips and the energy route gap on drawn bands, grids and weights.
+"""Round trips, the energy route gap, Parseval and the Dirichlet sum on drawn
+bands, grids and weights.
 
 Bands run from 0 to 24, across the dense/frame crossover of the vector
 transform (band 8/9) and the dense/separable crossover of the scalar one
@@ -7,6 +8,8 @@ transform (band 8/9) and the dense/separable crossover of the scalar one
 band N + 1 (products of two band-N harmonics), a scalar one band N.  Each
 example draws a fresh grid, so every basis is built cold.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -63,3 +66,29 @@ def test_energy_report_route_gap(band, extra_t, extra_phi, seed, kappa):
     grid = _vector_grid(band, extra_t, extra_phi)
     field = VectorBasis(grid, band).synthesize(random_coeffs(band, np.random.default_rng(seed)))
     assert energy_report(field, kappa, band_limit=band).route_gap < 1e-8
+
+
+@_PROPERTY
+@given(_BANDS, _EXTRA, _EXTRA, _SEEDS, st.floats(-1e4, 1e4))
+@example(8, 0, 0, 0, -4.0)
+@example(9, 0, 0, 0, -4.0)
+def test_energy_report_parseval(band, extra_t, extra_phi, seed, kappa):
+    grid = _vector_grid(band, extra_t, extra_phi)
+    field = VectorBasis(grid, band).synthesize(random_coeffs(band, np.random.default_rng(seed)))
+    report = energy_report(field, kappa, band_limit=band)
+    assert abs(report.norm_sq - report.quadrature.norm_sq) <= 1e-12 * report.quadrature.norm_sq
+
+
+@_PROPERTY
+@given(_BANDS, _EXTRA, _EXTRA, _SEEDS, st.integers(1, 3))
+@example(9, 0, 0, 0, 1)
+@example(10, 0, 0, 0, 1)
+def test_scalar_dirichlet_is_the_eigenvalue_sum(band, extra_t, extra_phi, seed, k):
+    # Up to band 9 the basis is dense, above it separable.
+    grid = build_grid(band + 1 + extra_t, 2 * band + 1 + extra_phi)
+    basis = ScalarBasis(grid, band)
+    coeffs = np.random.default_rng(seed).standard_normal((len(basis.degrees), k))
+    terms = [n * (n + 1) * c * c for (n, _), row in zip(basis.degrees, coeffs.tolist()) for c in row]
+    expected = math.fsum(terms)
+    for got, want in ((basis.dirichlet(coeffs), expected), (basis.dirichlet(coeffs[:, 0]), math.fsum(terms[::k]))):
+        assert abs(got - want) <= 1e-12 * want

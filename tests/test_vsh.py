@@ -190,6 +190,33 @@ def test_lazy_band20_matrix_peaks_one_family_block_above_the_table():
     assert growth <= table + block + 2 * 2**20
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM from /proc")
+def test_band32_frame_tables_peak_near_their_own_bytes():
+    script = textwrap.dedent(
+        """
+        from sphere_poincare.grid import verification_grid
+        from sphere_poincare.vsh import VectorBasis
+
+        def status(key):
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+        grid = verification_grid(32)
+        before = status("VmRSS")
+        basis = VectorBasis(grid, 32)
+        print(status("VmHWM") - before, basis._a.nbytes + basis._b.nbytes)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    growth, tables = map(int, out.split())
+    # A and B hold 143.7 MiB.  The margin covers the Legendre and per-order tables, one
+    # gathered wave and allocator slack (3.5 MiB measured); scaling A and B from the dense
+    # Y, dY/dphi and dY/dt tables peaked 75 MiB above them.
+    assert growth <= tables + 5 * 2**20
+
+
 def test_gram_matrix_identity():
     grid = verification_grid(6)
     basis = vector_basis(grid, 6)

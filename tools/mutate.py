@@ -350,8 +350,8 @@ MUTANTS = (
     Mutant(
         "vsh: table B without 1/sqrt(n(n+1))",
         "src/sphere_poincare/vsh.py",
-        "        b *= scale[:, None, None]\n",
-        "",
+        "dx *= scale * s",
+        "dx *= s",
         (_FRAME_ROUTE,),
     ),
     Mutant(
@@ -379,15 +379,15 @@ MUTANTS = (
     Mutant(
         "legendre: Y_{12,3} negated",
         "src/sphere_poincare/legendre.py",
-        "[_norm_factor(d, m) for d in n.tolist()]",
-        "[_norm_factor(d, m) * (-1.0 if (d, m) == (12, 3) else 1.0) for d in n.tolist()]",
+        "_norm_factor(n, m) if m <= n else 0.0",
+        "_norm_factor(n, m) * (-1.0 if (n, m) == (12, 3) else 1.0) if m <= n else 0.0",
         (_LEGENDRE_ORACLE,),
     ),
     Mutant(
         "legendre: one order's cosine and sine rows swapped in scalar_sh_table",
         "src/sphere_poincare/legendre.py",
-        "cos, sin = np.cos(m * phi), np.sin(m * phi)",
-        "cos, sin = (np.sin(m * phi), np.cos(m * phi)) if m == 2 else (np.cos(m * phi), np.sin(m * phi))",
+        "cos, sin = np.cos(angle), np.sin(angle)",
+        "cos, sin = np.cos(angle), np.sin(angle)\n    cos[2:3], sin[2:3] = np.sin(angle[2:3]), np.cos(angle[2:3])",
         (_BASIS_BYTES + "::test_scalar_basis_bytes_match_reference",),
     ),
     Mutant(
@@ -436,8 +436,9 @@ MUTANTS = (
     Mutant(
         "grid: separable table without the Condon-Shortley sign",
         "src/sphere_poincare/grid.py",
-        "_norm_factor(d, m) if m <= d",
-        "abs(_norm_factor(d, m)) if m <= d",
+        "(x,) = _order_tables(band_limit, grid.t, grad=False)",
+        "(x,) = _order_tables(band_limit, grid.t, grad=False)\n"
+        "        x = x * (-1.0) ** np.arange(band_limit + 1)[:, None, None]",
         (_SEPARABLE_ROUTE,),
     ),
     # Gauss-Legendre nodes once per size and the dense vector table in family blocks.
@@ -910,6 +911,43 @@ MUTANTS = (
         "new_energy = _finite(_energy(basis, coeffs, radial, weights, kappa, work), step)",
         "new_energy = _energy(basis, coeffs, radial, weights, kappa, work)",
         ("tests/test_cli.py::test_flow_whose_energy_overflows_to_minus_inf_is_one_error_line",),
+    ),
+    # One per-order factor table builds every harmonic table.
+    Mutant(
+        "legendre: sqrt2 also applied to the order-0 factor rows",
+        "src/sphere_poincare/legendre.py",
+        "x[1:] *= _SQRT2",
+        "x *= _SQRT2",
+        (_LEGENDRE_ORACLE + "::test_scalar_sh_table_rows_are_the_scipy_harmonics",),
+    ),
+    Mutant(
+        "legendre: order-0 dY/dphi rows left as m X (-0.0 where X < 0)",
+        "src/sphere_poincare/legendre.py",
+        "    d_phi[np.arange(band_limit + 1) * np.arange(1, band_limit + 2)] = 0.0",
+        "    pass",
+        ("tests/test_legendre.py::test_table_rows_are_the_single_mode_rows_bytewise",),
+    ),
+    Mutant(
+        "vsh: frame table A divided by s twice",
+        "src/sphere_poincare/vsh.py",
+        "x *= m[:, None, None, None] * scale / s",
+        "x *= m[:, None, None, None] * scale / s / s",
+        (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "cli: verify accepts a negative seed",
+        "src/sphere_poincare/cli.py",
+        "if args.seed < 0:",
+        "if False:",
+        (_BAD_INPUT,),
+    ),
+    Mutant(
+        "flow: the abort blames a non-finite iterate",
+        "src/sphere_poincare/flow.py",
+        "kappa times the anisotropy integral overflows\")",
+        "the iterate is no longer finite\")",
+        ("tests/test_flow.py::test_flow_aborts_at_the_step_whose_energy_overflows",
+         "tests/test_cli.py::test_flow_whose_energy_overflows_to_minus_inf_is_one_error_line"),
     ),
 )
 
