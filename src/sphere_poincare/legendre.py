@@ -72,7 +72,9 @@ def _legendre_dt_table(table: np.ndarray, t: np.ndarray) -> np.ndarray:
     n = j[:, None]
     below = np.zeros_like(table)
     below[1:] = table[:-1]
-    return ((n + j) * below - n * t * table) / (1.0 - t * t)
+    below *= n + j  # in place, so at most one table-sized temporary is alive
+    below -= n * t * table
+    return np.divide(below, 1.0 - t * t, out=below)
 
 
 def _legendre_tables(n_max: int, t, grad: bool):
@@ -158,6 +160,7 @@ def _harmonic_rows(band_limit: int, phi, tables: list, d_phi_tables: list):
     n, j = _row_orders(band_limit)
     angle = np.multiply.outer(np.arange(band_limit + 1), phi)
     cos, sin = np.cos(angle), np.sin(angle)
+    cos[0], sin[0] = 1.0, 0.0  # the order-0 wave is 1 at every phi, a non-finite one too
     for group, pair, second in ((tables, (cos, sin), j > 0), (d_phi_tables, (-sin, cos), j >= 0)):
         wave = np.concatenate(pair)[np.abs(j) + (band_limit + 1) * second] if group else None
         yield from (table[np.abs(j), n] * wave for table in group)

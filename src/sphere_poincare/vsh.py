@@ -291,10 +291,10 @@ class VectorBasis:
     u.e_phi and u.e_t with two (n, j)-ordered ((N+1)^2, nodes) tables,
     A = (dY/dphi) / s / sqrt(n(n+1)) and B = s (dY/dt) / sqrt(n(n+1)) with s = sqrt(1 - t^2),
     so y2 = A e_phi + B e_t and y3 = A e_t - B e_phi: per-order X and dX/dt scaled by
-    m / (s sqrt(n(n+1))) and s / sqrt(n(n+1)), times their waves.  Analysis reads A and B
-    row-major, with the weighted (u.e_phi, u.e_t) rows as the left factor
-    (``tangential @ A.T``); synthesis forms ``A.T @ c[1:].T``.  ``matrix``
-    and ``modes`` are built only when read.
+    m / (s sqrt(n(n+1))) and s / sqrt(n(n+1)), times their waves.  Both transforms read A
+    and B row-major, with (2, ...) rows as the left factor: the weighted (u.e_phi, u.e_t)
+    rows in analysis (``tangential @ A.T``), the family-2 and family-3 coefficients in
+    synthesis (``c[1:] @ A``).  ``matrix`` and ``modes`` are built only when read.
 
     The dense einsums also run on stacks of tables or samples (the private
     ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
@@ -353,8 +353,8 @@ class VectorBasis:
         # (3, (N+1)^2) in (n, j) order; families 2 and 3 hold zero at n = 0.
         c = coeffs.data[:, _valid_mask(self.band_limit)[0]]
         u_n = scalar_basis(grid, self.band_limit).synthesize(c[0])
-        a_c, b_c = self._a.T @ c[1:].T, self._b.T @ c[1:].T
-        u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]
+        a_c, b_c = c[1:] @ self._a, c[1:] @ self._b  # (2, nodes): families 2 and 3
+        u_phi, u_t = a_c[0] - b_c[1], b_c[0] + a_c[1]
         eps_phi, eps_t, normal = grid.frame
         shape = (grid.n_t, grid.n_phi, 1)
         values = u_n.reshape(shape) * normal + u_phi.reshape(shape) * eps_phi + u_t.reshape(shape) * eps_t

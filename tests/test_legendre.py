@@ -258,6 +258,18 @@ def test_table_rows_are_the_single_mode_rows_bytewise(band):
         assert row == len(table[0])
 
 
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_order_zero_table_rows_ignore_a_non_finite_phi(phi):
+    # cos(0 * phi) is NaN there, but the order-0 wave is 1 at every phi, as in _sh_mode.
+    t = np.array([-0.7, 0.1, 0.5])
+    with np.errstate(invalid="ignore"):  # the rows of orders m >= 1 are NaN at such a phi
+        for band in range(7):
+            table = scalar_sh_table(band, phi, t, grad=True)
+            for n in range(band + 1):
+                for got, expected in zip(table, _sh_mode(n, 0, phi, t, grad=True)):
+                    assert got[n * (n + 1)].tobytes() == np.broadcast_to(expected, t.shape).tobytes(), (band, n)
+
+
 def test_scalar_sh_rejects_an_order_above_its_degree():
     with pytest.raises(ValueError, match=r"order j=-3 outside \[-n, n\] for n=2"):
         scalar_sh(2, -3, 0.0, 0.0)

@@ -160,18 +160,33 @@ def test_eval_vsh_is_the_matching_matrix_row(band, size):
         assert eval_vsh(mode, phi_mesh, t_mesh).tobytes() == row.tobytes(), mode
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM from /proc")
-def test_lazy_band20_matrix_peaks_one_family_block_above_the_table():
-    # VmHWM, not ru_maxrss: Linux carries the pre-exec maxrss of the forked test
-    # process into the child's ru_maxrss, while VmHWM is the child's own peak.
-    script = textwrap.dedent(
-        """
-        from sphere_poincare.grid import verification_grid
-        from sphere_poincare.vsh import VectorBasis
+_PROC_STATUS = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM from /proc")
 
+
+def _in_fresh_process(script):
+    """The stdout of ``script`` run in a fresh interpreter on this package, where
+    ``status(key)`` reads a /proc/self/status entry in bytes."""
+    status = textwrap.dedent(
+        """
         def status(key):
             with open("/proc/self/status") as fh:
                 return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-c", status + textwrap.dedent(script)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout
+
+
+@_PROC_STATUS
+def test_lazy_band20_matrix_peaks_one_family_block_above_the_table():
+    # VmHWM, not ru_maxrss: Linux carries the pre-exec maxrss of the forked test
+    # process into the child's ru_maxrss, while VmHWM is the child's own peak.
+    out = _in_fresh_process(
+        """
+        from sphere_poincare.grid import verification_grid
+        from sphere_poincare.vsh import VectorBasis
 
         grid = verification_grid(20)
         grid.frame
@@ -181,25 +196,18 @@ def test_lazy_band20_matrix_peaks_one_family_block_above_the_table():
         print(status("VmHWM") - before, matrix.nbytes, matrix[:441].nbytes)
         """
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     growth, table, block = map(int, out.split())
     # The scalar tables Y, dY/dphi and dY/dt together are one family block; the
     # margin covers the Legendre tables (about 0.3 MiB) and allocator slack.
     assert growth <= table + block + 2 * 2**20
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM from /proc")
+@_PROC_STATUS
 def test_band32_frame_tables_peak_near_their_own_bytes():
-    script = textwrap.dedent(
+    out = _in_fresh_process(
         """
         from sphere_poincare.grid import verification_grid
         from sphere_poincare.vsh import VectorBasis
-
-        def status(key):
-            with open("/proc/self/status") as fh:
-                return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
 
         grid = verification_grid(32)
         before = status("VmRSS")
@@ -207,14 +215,43 @@ def test_band32_frame_tables_peak_near_their_own_bytes():
         print(status("VmHWM") - before, basis._a.nbytes + basis._b.nbytes)
         """
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphere_poincare.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
     growth, tables = map(int, out.split())
     # A and B hold 143.7 MiB.  The margin covers the Legendre and per-order tables, one
-    # gathered wave and allocator slack (3.5 MiB measured); scaling A and B from the dense
+    # gathered wave and allocator slack (3.0-3.1 MiB measured); scaling A and B from the dense
     # Y, dY/dphi and dY/dt tables peaked 75 MiB above them.
     assert growth <= tables + 5 * 2**20
+
+
+@_PROC_STATUS
+def test_band32_transforms_round_trip_are_adjoint_and_peak_near_the_tables():
+    out = _in_fresh_process(
+        """
+        import numpy as np
+        from sphere_poincare.grid import SampledVectorField, inner_product, scalar_basis, verification_grid
+        from sphere_poincare.vsh import VectorBasis, random_coeffs
+
+        grid = verification_grid(32)
+        grid.frame, grid.weights, scalar_basis(grid, 32)
+        rng = np.random.default_rng(32)
+        before = status("VmRSS")
+        basis = VectorBasis(grid, 32)
+        coeffs = random_coeffs(32, rng)
+        field = basis.synthesize(coeffs)
+        error = np.max(np.abs(basis.analyze(field).data - coeffs.data))
+        samples = SampledVectorField(grid=grid, values=rng.standard_normal(field.values.shape))
+        quadrature = inner_product(field, samples)
+        gap = abs(coeffs.as_vector() @ basis.analyze(samples).as_vector() - quadrature) / abs(quadrature)
+        print(status("VmHWM") - before, basis._a.nbytes + basis._b.nbytes, error, gap)
+        """
+    )
+    growth, tables, error, gap = (float(word) for word in out.split())
+    # Arbitrary samples, not band-limited: analysis is the quadrature adjoint of synthesis.
+    assert gap <= 1e-12
+    assert error <= 1e-11
+    # A and B hold 143.7 MiB.  The build, the synthesis and both analyses peaked 2.8-2.9 MiB
+    # above them; with the transposed synthesis products A.T @ c[1:].T, whose scratch
+    # OpenBLAS allocates, 30.4 MiB above.
+    assert growth <= tables + 16 * 2**20
 
 
 def test_gram_matrix_identity():

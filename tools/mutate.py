@@ -51,6 +51,7 @@ _CRITERION = "tests/test_acceptance.py::test_criterion_"
 _RATE = "tests/test_flow.py::test_flow_step_scales_the_distance_to_the_normal_by_one_plus_two_kappa_dt"
 _STACKED_SUITES = "tests/test_suites.py::test_stacked_suites_are_the_per_field_loop_bitwise"
 _GRAM = "tests/test_vsh.py::test_gram_is_the_analysis_of_the_table_bytewise"
+_BAND32_TRANSFORMS = "tests/test_vsh.py::test_band32_transforms_round_trip_are_adjoint_and_peak_near_the_tables"
 
 MUTANTS = (
     # The scalar transform and its callers.
@@ -308,9 +309,25 @@ MUTANTS = (
     Mutant(
         "vsh: u_phi and u_t swapped in synthesis",
         "src/sphere_poincare/vsh.py",
-        "u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]",
-        "u_t, u_phi = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]",
+        "u_phi, u_t = a_c[0] - b_c[1], b_c[0] + a_c[1]",
+        "u_t, u_phi = a_c[0] - b_c[1], b_c[0] + a_c[1]",
         (_FRAME_ROUTE,),
+    ),
+    Mutant(
+        "vsh: synthesis products transposed (A.T @ c[1:].T; same bits, more scratch)",
+        "src/sphere_poincare/vsh.py",
+        "a_c, b_c = c[1:] @ self._a, c[1:] @ self._b  # (2, nodes): families 2 and 3\n"
+        "        u_phi, u_t = a_c[0] - b_c[1], b_c[0] + a_c[1]",
+        "a_c, b_c = self._a.T @ c[1:].T, self._b.T @ c[1:].T\n"
+        "        u_phi, u_t = a_c[:, 0] - b_c[:, 1], b_c[:, 0] + a_c[:, 1]",
+        (_BAND32_TRANSFORMS,),
+    ),
+    Mutant(
+        "vsh: family 3 of the frame analysis with its sign flipped",
+        "src/sphere_poincare/vsh.py",
+        "c2, c3 = a_u[0] + b_u[1], a_u[1] - b_u[0]",
+        "c2, c3 = a_u[0] + b_u[1], b_u[0] - a_u[1]",
+        (_BAND32_TRANSFORMS,),
     ),
     Mutant(
         "vsh: analysis stacks u.e_t above u.e_phi",
@@ -473,8 +490,8 @@ MUTANTS = (
     Mutant(
         "legendre: dP/dt without the (n+j) P_{n-1,j} term",
         "src/sphere_poincare/legendre.py",
-        "((n + j) * below - n * t * table)",
-        "(-n * t * table)",
+        "below *= n + j",
+        "below *= 0.0",
         (_LEGENDRE_ORACLE + "::test_legendre_tables_next_to_the_poles_are_50_digit_mpmath",),
     ),
     Mutant(
@@ -926,6 +943,13 @@ MUTANTS = (
         "    d_phi[np.arange(band_limit + 1) * np.arange(1, band_limit + 2)] = 0.0",
         "    pass",
         ("tests/test_legendre.py::test_table_rows_are_the_single_mode_rows_bytewise",),
+    ),
+    Mutant(
+        "legendre: the order-0 wave left as cos(0 * phi) (NaN at a non-finite phi)",
+        "src/sphere_poincare/legendre.py",
+        "cos[0], sin[0] = 1.0, 0.0",
+        "cos[0], sin[0] = cos[0], sin[0]",
+        ("tests/test_legendre.py::test_order_zero_table_rows_ignore_a_non_finite_phi",),
     ),
     Mutant(
         "vsh: frame table A divided by s twice",
