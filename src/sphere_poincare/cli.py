@@ -98,7 +98,7 @@ def _report(args, start: float, command: str, parameters: dict, checks: list[Che
     return 0 if report.passed else 1
 
 
-# gamma --range rows and flow trajectory rows; either table is held in memory.
+# gamma --range rows and flow trajectory rows; the flow holds its records in memory.
 _MAX_RANGE_STEPS = 1_000_000
 # --grid NT NPHI at most the size of verification_grid(MAX_DEGREE); the Gauss
 # nodes come from an NT x NT eigenproblem, so NT must stay small.
@@ -125,7 +125,7 @@ def cmd_gamma(args) -> int:
         if hi < lo:
             raise ValueError("--range A B STEPS needs A <= B")
         kappas = np.linspace(lo, hi, int(steps))
-    # Rendered before --out is opened, so a bad weight leaves no file behind.
+    # Every weight is checked before --out is opened, so a bad one leaves no file behind.
     lines = _gamma_table_lines(kappas)
     if args.out:
         _write_text(args.out, lines)

@@ -147,10 +147,14 @@ def _order_tables(n_max: int, t, grad: bool) -> list:
     return tables
 
 
+@cache
 def _row_orders(band_limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree n and order j of each row of an (n, j)-ordered table up to ``band_limit``."""
+    """Degree n and order j of each (n, j)-ordered table row up to ``band_limit``; read-only, as they are shared."""
     n = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
-    return n, np.arange(n.size) - n * (n + 1)
+    j = np.arange(n.size) - n * (n + 1)
+    for orders in (n, j):
+        orders.setflags(write=False)
+    return n, j
 
 
 def _harmonic_rows(band_limit: int, phi, tables: list, d_phi_tables: list):

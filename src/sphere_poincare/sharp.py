@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -237,30 +238,32 @@ def membership_check(coeffs: CoeffSet, kappa: float, tol: float) -> bool:
     return bool(np.max(np.abs(tau - _tau_ratio(kappa) * sigma)) <= tol)
 
 
+def _gamma_row(kappa) -> tuple[float, float, float, float | None]:
+    kappa = float(kappa)
+    gam_plus = gamma_plus(kappa)  # validates kappa
+    gam = _gamma(kappa, gam_plus)
+    shifted = _shifted(kappa, gam)
+    if not (math.isfinite(gam) and math.isfinite(gam_plus) and math.isfinite(shifted or 0.0)):
+        raise ValueError(f"the constants are not finite at kappa={kappa!r}: kappa^2 overflows")
+    return kappa, gam, gam_plus, shifted
+
+
 def gamma_table_rows(kappas) -> list[tuple[float, float, float, float | None]]:
-    """Rows (kappa, gamma, gamma_plus, shifted-or-None) for the table.
+    """Rows (kappa, gamma, gamma_plus, shifted-or-None) for the table; raises ValueError if a
+    constant is not finite (kappa^2 overflows from about |kappa| = 1.3e154)."""
+    return [_gamma_row(kappa) for kappa in kappas]
 
-    Raises ValueError if a constant is not finite (kappa^2 overflows from
-    about |kappa| = 1.3e154).
-    """
-    rows = []
+
+def _gamma_table_lines(kappas):
+    """The table's CSV lines (shifted empty for kappa >= 0): every weight checked now, each line rendered when read."""
+    kappas = list(kappas) if iter(kappas) is kappas else kappas  # a one-shot iterable is read twice
     for kappa in kappas:
-        kappa = float(kappa)
-        gam_plus = gamma_plus(kappa)  # validates kappa
-        gam = _gamma(kappa, gam_plus)
-        shifted = _shifted(kappa, gam)
-        if not (math.isfinite(gam) and math.isfinite(gam_plus) and math.isfinite(shifted or 0.0)):
-            raise ValueError(f"the constants are not finite at kappa={kappa!r}: kappa^2 overflows")
-        rows.append((kappa, gam, gam_plus, shifted))
-    return rows
-
-
-def _gamma_table_lines(kappas) -> list[str]:
-    """The constants table's CSV lines (shifted column empty for kappa >= 0)."""
-    return ["kappa,gamma,gamma_plus,shifted\n"] + [
+        _gamma_row(kappa)  # a bad weight raises before the first line exists
+    lines = (
         f"{kappa!r},{gam!r},{gam_plus!r},{'' if shifted is None else repr(shifted)}\n"
-        for kappa, gam, gam_plus, shifted in gamma_table_rows(kappas)
-    ]
+        for kappa, gam, gam_plus, shifted in map(_gamma_row, kappas)
+    )
+    return chain(["kappa,gamma,gamma_plus,shifted\n"], lines)
 
 
 def write_gamma_table(fh, kappas) -> None:

@@ -74,7 +74,7 @@ def suite_orthonormality(seed: int) -> list[Check]:
     checks.append(
         Check(
             "vsh-gram-identity-n<=6",
-            float(np.max(np.abs(gram - np.eye(len(basis.modes))))),
+            float(np.max(np.abs(gram - np.eye(len(gram))))),
             1e-10,
         )
     )

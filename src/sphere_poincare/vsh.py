@@ -294,7 +294,7 @@ class VectorBasis:
     m / (s sqrt(n(n+1))) and s / sqrt(n(n+1)), times their waves.  Both transforms read A
     and B row-major, with (2, ...) rows as the left factor: the weighted (u.e_phi, u.e_t)
     rows in analysis (``tangential @ A.T``), the family-2 and family-3 coefficients in
-    synthesis (``c[1:] @ A``).  ``matrix`` and ``modes`` are built only when read.
+    synthesis (``c[1:] @ A``).  ``matrix`` is built only when read.
 
     The dense einsums also run on stacks of tables or samples (the private
     ``_synthesize_tables`` and ``_analyze_values``, which read ``matrix`` at
@@ -321,11 +321,6 @@ class VectorBasis:
         dx *= scale * s  # s / sqrt(n(n+1))
         b, a = _harmonic_rows(band_limit, grid.phi[None, :], [dx], [x])
         self._a, self._b = (table.reshape(len(table), -1) for table in (a, b))
-
-    @cached_property
-    def modes(self) -> list[ModeIndex]:
-        """Every mode up to the band, in canonical order; made only when read."""
-        return mode_list(self.band_limit)
 
     @cached_property
     def matrix(self) -> np.ndarray:

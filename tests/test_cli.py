@@ -2,6 +2,9 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -46,6 +49,42 @@ def test_gamma_deterministic_output(tmp_path):
     main(["gamma", "--range", "-3", "3", "41", "--out", str(a)])
     main(["gamma", "--range", "-3", "3", "41", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gamma_table_on_stdout_has_the_bytes_of_the_out_file(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    assert main(["gamma", "--range", "-10", "10", "201", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["gamma", "--range", "-10", "10", "201"]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_gamma_table_streams_its_rows(tmp_path):
+    # VmHWM is the child's own peak; ru_maxrss would start from the forked test process's.
+    script = textwrap.dedent(
+        """
+        import sys
+        from sphere_poincare.cli import main
+
+        def peak():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+        before = peak()
+        assert main(["gamma", "--range", "0", "1", "200000", "--out", sys.argv[1]]) == 0
+        print(peak() - before)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = tmp_path / "g.csv"
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert path.read_bytes().count(b"\n") == 200001
+    # 1.6 MiB measured, the weights' array; holding every row and line before writing peaked 54 MiB.
+    assert int(run.stdout) <= 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -253,11 +292,14 @@ def test_flow_rejects_unstable_dt(tmp_path, capsys):
         ["verify", "--suite", "energy-routes", "--seed=-1"],
         ["verify", "--suite", "equality", "--seed=-1"],
         ["verify", "--suite", "lemma", "--seed=-1"],
+        # A table whose last weight overflows: checked before the first line is written.
+        ["gamma", "--range", "1", "1e300", "3", "--out", "{tmp}/g.csv"],
+        ["gamma", "--range", "1", "1e300", "3"],
     ],
     # Each row keeps the id it had while this test also took an environment
     # seed, so no row changes its name; ids 4, 13 and 24 were the rows of
     # that seed and of the removed minimize --tol.
-    ids=[f"argv{i}-None" for i in range(51) if i not in (4, 13, 24)],
+    ids=[f"argv{i}-None" for i in range(53) if i not in (4, 13, 24)],
 )
 def test_bad_input_gives_one_line_error(argv, tmp_path, capsys):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2

@@ -15,6 +15,7 @@ from sphere_poincare.grid import (
 )
 from sphere_poincare.grid import SampledVectorField
 from sphere_poincare.legendre import (
+    _row_orders,
     _sh_mode,
     assoc_legendre,
     assoc_legendre_dt,
@@ -268,6 +269,16 @@ def test_order_zero_table_rows_ignore_a_non_finite_phi(phi):
             for n in range(band + 1):
                 for got, expected in zip(table, _sh_mode(n, 0, phi, t, grad=True)):
                     assert got[n * (n + 1)].tobytes() == np.broadcast_to(expected, t.shape).tobytes(), (band, n)
+
+
+def test_row_orders_are_made_once_a_band_and_read_only():
+    n, j = _row_orders(3)
+    assert _row_orders(3)[0] is n and _row_orders(3)[1] is j
+    assert n.tolist() == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3]
+    assert j.tolist() == [0, -1, 0, 1, -2, -1, 0, 1, 2, -3, -2, -1, 0, 1, 2, 3]
+    for orders in (n, j):
+        with pytest.raises(ValueError, match="read-only"):
+            orders[0] = 1
 
 
 def test_scalar_sh_rejects_an_order_above_its_degree():

@@ -1,7 +1,7 @@
 """The portable part of the byte contract: same command and seed, same bytes.
 
 Recomputes, in-process, every output of ``tools/output_digest.py`` whose
-bytes held on every BLAS and SIMD code path tried (both ``gamma``
+bytes held on every BLAS and SIMD code path tried (the three ``gamma``
 outputs, the equality, inequality and lemma reports, orthonormality at
 seeds 0 and 2024, and every ``minimize`` report and CSV), and compares
 their sha256 with ``tests/portable_outputs.txt``.  A change that moves
@@ -33,4 +33,4 @@ def test_portable_outputs_match_the_committed_listing(tmp_path):
     versions = output_digest.versions()
     note = "" if header == f"# {versions}" else f" (the listing was made with {header[2:]}; this run has {versions})"
     assert not moved, f"{len(moved)} portable outputs moved: {', '.join(sorted(moved))}{note}"
-    assert len(expected) == 58
+    assert len(expected) == 59

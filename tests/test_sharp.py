@@ -232,6 +232,15 @@ def test_gamma_table_csv_format():
     assert lines[3].split(",")[3] == ""
 
 
+def test_gamma_table_reads_a_generator_once_and_writes_every_row():
+    kappas = np.linspace(-10.0, 10.0, 21)
+    from_array, from_generator = io.StringIO(), io.StringIO()
+    write_gamma_table(from_array, kappas)
+    write_gamma_table(from_generator, (kappa for kappa in kappas))
+    assert from_generator.getvalue() == from_array.getvalue()
+    assert from_array.getvalue().count("\n") == 22
+
+
 def _reference_membership(coeffs, kappa, tol):
     """Per-mode membership test, the reference for the vectorized one."""
     support = {(1, 0, 0)} | {(1, 1, j) for j in (-1, 0, 1)} | {(2, 1, j) for j in (-1, 0, 1)}

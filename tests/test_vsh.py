@@ -20,7 +20,7 @@ from sphere_poincare.grid import (
     tangent_frame,
     verification_grid,
 )
-from sphere_poincare.legendre import _sh_mode
+from sphere_poincare.legendre import _row_orders, _sh_mode
 from sphere_poincare.vsh import (
     CoeffSet,
     ModeIndex,
@@ -254,13 +254,27 @@ def test_band32_transforms_round_trip_are_adjoint_and_peak_near_the_tables():
     assert growth <= tables + 16 * 2**20
 
 
+@pytest.mark.parametrize("band", [9, 20])
+def test_frame_tables_mirror_about_the_equator_exactly(band):
+    # Y_{n,j}(phi, -t) = (-1)^(n+|j|) Y_{n,j}(phi, t): A keeps the parity of its Y row, and
+    # B = s dY/dt the other one.  Exact in value; a zero entry may differ in its sign.
+    grid = verification_grid(band)
+    assert np.array_equal(grid.t, -grid.t[::-1])
+    basis = VectorBasis(grid, band)
+    a, b = (table.reshape(-1, grid.n_t, grid.n_phi) for table in (basis._a, basis._b))
+    n, j = _row_orders(band)
+    even = (n + np.abs(j)) % 2 == 0
+    assert np.array_equal(a[even], a[even, ::-1]) and np.array_equal(a[~even], -a[~even, ::-1])
+    assert np.array_equal(b[~even], b[~even, ::-1]) and np.array_equal(b[even], -b[even, ::-1])
+
+
 def test_gram_matrix_identity():
     grid = verification_grid(6)
     basis = vector_basis(grid, 6)
     gram = np.einsum(
         "mijk,nijk->mn", basis.matrix * grid.weights[..., None], basis.matrix
     )
-    assert np.max(np.abs(gram - np.eye(len(basis.modes)))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(len(mode_list(6))))) < 1e-10
 
 
 def _affinity(monkeypatch, cpus):

@@ -672,8 +672,8 @@ MUTANTS = (
     Mutant(
         "suites: orthonormality Gram identity held to 1e-9",
         "src/sphere_poincare/suites.py",
-        "float(np.max(np.abs(gram - np.eye(len(basis.modes))))),\n            1e-10,",
-        "float(np.max(np.abs(gram - np.eye(len(basis.modes))))),\n            1e-9,",
+        "float(np.max(np.abs(gram - np.eye(len(gram))))),\n            1e-10,",
+        "float(np.max(np.abs(gram - np.eye(len(gram))))),\n            1e-9,",
         (_CRITERION + "6_orthonormality_and_transforms",),
     ),
     Mutant(
@@ -857,6 +857,20 @@ MUTANTS = (
         'f"{kappa!r},{gam!r},',
         'f"{kappa!r},{gam:.15g},',
         ("tests/test_portable_outputs.py::test_portable_outputs_match_the_committed_listing",),
+    ),
+    Mutant(
+        "sharp: the gamma table renders lines before every weight is checked",
+        "src/sphere_poincare/sharp.py",
+        "        _gamma_row(kappa)  # a bad weight raises before the first line exists",
+        "        pass",
+        (_BAD_INPUT,),
+    ),
+    Mutant(
+        "sharp: the gamma table reads a one-shot iterable twice",
+        "src/sphere_poincare/sharp.py",
+        "kappas = list(kappas) if iter(kappas) is kappas else kappas",
+        "kappas = kappas",
+        ("tests/test_sharp.py::test_gamma_table_reads_a_generator_once_and_writes_every_row",),
     ),
     # The lemma's two minimizer shapes, an input guard that had no test, and the
     # Legendre tables one degree above MAX_DEGREE for the scalar energy route.

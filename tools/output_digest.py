@@ -101,6 +101,10 @@ def outputs(workdir: str, keep=lambda label: True):
     """
     if keep("gamma-range-10-10-201"):
         yield "gamma-range-10-10-201", _run(["gamma", "--range", "-10", "10", "201"]).encode()
+    if keep("gamma-range-10-10-201 --out"):
+        path = os.path.join(workdir, "gamma.csv")
+        _run(["gamma", "--range", "-10", "10", "201", "--out", path])
+        yield "gamma-range-10-10-201 --out", _file(path)
     if keep("gamma-kappa=-4"):
         yield "gamma-kappa=-4", _run(["gamma", "--kappa=-4"]).encode()
     for suite in SUITES:
